@@ -4,13 +4,12 @@ The section VII-C extension lifted to the serving layer: every
 :class:`~repro.cluster.cluster.ClusterNode` runs its own complete
 single-node :class:`~repro.serve.frontend.ServingSystem` (its own
 admission controller, batcher, placer, SLO tracker — per-node admission
-is the sharding story), and the :class:`ClusterServingSystem` merges
-their event sources onto **one shared virtual timeline**, exactly the way
-the single-node engine merges its own heaps.  Event phases at one instant
-follow a fixed order (recoveries → migration deliveries → arrivals →
-node kills → partition crashes → flushes) over the cluster's
-deterministic node iteration order, so a cluster run replays
-byte-identically from its seed.
+is the sharding story), and the :class:`ClusterServingSystem` drives
+them through their public node interface on **one shared virtual
+timeline**, on the single-node engine's event core
+(:mod:`repro.sim.events`).  Event phases at one instant follow the fixed
+order tabled in ``docs/serving.md`` over the cluster's deterministic
+node iteration order, so a cluster run replays byte-identically.
 
 Routing: each tenant has a **home node** by rendezvous (highest-random-
 weight) hashing over the *alive nodes holding the request's enclave
@@ -35,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster, ClusterError, ClusterNode
@@ -46,8 +45,11 @@ from repro.serve.admission import Request
 from repro.serve.frontend import ServingReport, ServingSystem
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import TenantSpec
+from repro.sim.events import Cursor, Phase, drive
 
 _ARRIVAL_ORDER = attrgetter("arrival_us", "rid")
+_ARRIVAL_US = attrgetter("arrival_us")
+_AT = itemgetter(0)
 
 #: Rejection recorded when no alive node holds the request's image.
 REJECT_NO_IMAGE = "no-image-replica"
@@ -64,17 +66,16 @@ def rendezvous_score(key: str, node: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class _NodeState:
+class NodeState:
     """One node's serving frontend plus its cluster-side bookkeeping."""
 
-    __slots__ = ("node", "name", "serving", "alive", "gpu_devices", "routed")
+    __slots__ = ("node", "name", "serving", "alive", "routed")
 
     def __init__(self, node: ClusterNode, serving: ServingSystem) -> None:
         self.node = node
         self.name = node.name
         self.serving = serving
         self.alive = True
-        self.gpu_devices = node.gpu_devices()
         self.routed = 0
 
 
@@ -221,7 +222,6 @@ class ClusterServingSystem:
     ) -> None:
         self.cluster = cluster
         self.telemetry = telemetry
-        self._next_scrape_us: Optional[float] = None
         if attest:
             alive = [n for n in cluster if n.alive]
             if not all(n.attested for n in alive):
@@ -237,7 +237,8 @@ class ClusterServingSystem:
         self.migration: Optional[MigrationManager] = (
             MigrationManager() if migration else None
         )
-        self._states: Dict[str, _NodeState] = {}
+        self._states: Dict[str, NodeState] = {}
+        """Member node states, in ``Cluster`` iteration order."""
         for node in members:
             serving = ServingSystem(
                 node.system,
@@ -253,7 +254,7 @@ class ClusterServingSystem:
                     node.system, slo=serving.slo, node=node.name
                 )
                 serving.bind_telemetry(source)
-            self._states[node.name] = _NodeState(node, serving)
+            self._states[node.name] = NodeState(node, serving)
         if telemetry is not None:
             telemetry.add_extra(self._telemetry_extra)
         self._now = 0.0
@@ -266,22 +267,25 @@ class ClusterServingSystem:
         self._migration_seq = 0
 
     # -- membership --------------------------------------------------------
-    def _alive(self) -> List[_NodeState]:
+    def alive_nodes(self) -> List[NodeState]:
         """Alive node states, cluster iteration order (deterministic)."""
-        return [
-            self._states[n.name]
-            for n in self.cluster
-            if n.name in self._states and self._states[n.name].alive
-        ]
+        return [ns for ns in self._states.values() if ns.alive]
 
-    def node_state(self, name: str) -> _NodeState:
+    def node_state(self, name: str) -> NodeState:
         return self._states[name]
+
+    def candidates(self, image: str) -> List[str]:
+        """Alive member nodes holding ``image``, in the registry's order."""
+        return [
+            name for name in self.images.nodes_for(image)
+            if name in self._states and self._states[name].alive
+        ]
 
     # -- tenants -----------------------------------------------------------
     def add_tenants(self, specs: Iterable[TenantSpec]) -> None:
         """Register every spec on every node (per-node admission state)."""
         for spec in specs:
-            for ns in self._alive():
+            for ns in self.alive_nodes():
                 ns.serving.add_tenant(spec)
 
     # -- telemetry ---------------------------------------------------------
@@ -303,25 +307,14 @@ class ClusterServingSystem:
         }
 
     # -- routing -----------------------------------------------------------
-    def _backlog(self, ns: _NodeState) -> int:
-        sv = ns.serving
-        total = len(sv._parked)
-        for device in ns.gpu_devices:
-            total += sv._effective_depth(device)
-        return total
-
-    def _candidates(self, image: str) -> List[str]:
-        return [
-            name for name in self.images.nodes_for(image)
-            if name in self._states and self._states[name].alive
-        ]
-
     def route(self, request: Request) -> Optional[str]:
         """The node this request lands on, or None if unroutable."""
-        candidates = self._candidates(request_image(request))
+        candidates = self.candidates(request_image(request))
         if not candidates:
             return None
-        backlog = {name: self._backlog(self._states[name]) for name in sorted(candidates)}
+        backlog = {
+            name: self._states[name].serving.backlog() for name in sorted(candidates)
+        }
         return self.router.route(request.tenant, candidates, backlog)
 
     def offer(self, request: Request) -> Optional[str]:
@@ -361,19 +354,9 @@ class ClusterServingSystem:
         ns = self._states.get(name)
         if ns is None or not ns.alive:
             return []
-        sv = ns.serving
-        unfinished: List[Request] = []
-        for device in sorted(sv.batcher.depths()):
-            unfinished.extend(sv.batcher.evict(device))
-        unfinished.extend(sv._parked)
-        sv._parked = []
-        unfinished.sort(key=_ARRIVAL_ORDER)
         # The machine analog of the partition panic: every partition
         # fails, and the SPM scrub runs on the way down.
-        for device in ns.gpu_devices:
-            if device in sv._down_until:
-                continue  # already mid-recovery; its pages are scrubbed
-            ns.node.system.fail_partition(device, background=True)
+        unfinished = ns.serving.harvest()
         if self.migration is not None:
             self.migration.audit_scrub(ns.node)
         ns.alive = False
@@ -389,7 +372,7 @@ class ClusterServingSystem:
                 "recovery.node-kill", ts=self._now, category="recovery",
                 node=name, harvested=len(unfinished),
             )
-        survivors = self._alive()
+        survivors = self.alive_nodes()
         if not survivors:
             self.orphaned += len(unfinished)
             if self.telemetry is not None:
@@ -407,13 +390,12 @@ class ClusterServingSystem:
                 if session is not None and session.node == name:
                     # The tenant's enclave state was on the corpse:
                     # checkpoint-restore onto the rendezvous survivor.
-                    record = self.migration.restore(
+                    self.migration.restore(
                         self._states[target_name].node, tenant, self._now
                     )
                     delay = self.migration_delay_us(
                         self.migration.blob_bytes(tenant)
                     )
-                    del record
             for request in by_tenant[tenant]:
                 self._migration_seq += 1
                 heapq.heappush(
@@ -431,23 +413,7 @@ class ClusterServingSystem:
             self.telemetry.node_killed(self._now, name)
         return unfinished
 
-    def _inject(self, ns: _NodeState, request: Request) -> None:
-        """Adopt a migrated request on its new node: admitted state moves
-        with it (no re-charge of the rate limiter), then it places or —
-        if the deadline passed in transit — expires, exactly once."""
-        sv = ns.serving
-        sv._admitted.add(request.rid)
-        tenant = sv.registry.get(request.tenant)
-        tenant.in_flight += 1
-        tenant.in_flight_bytes += request.memory_bytes
-        sv.slo.record_requeued(request)
-        self.migrated_requests += 1
-        if request.deadline_us < sv._now:
-            sv._expire(request)
-        else:
-            sv._place(request)
-
-    def _deliver_migrations(self) -> None:
+    def _deliver_migrations(self, now: float) -> None:
         heap = self._pending_migrations
         while heap and heap[0][0] <= self._now:
             _, _, target_name, request = heapq.heappop(heap)
@@ -456,46 +422,17 @@ class ClusterServingSystem:
                 # The restore target died in transit: re-route among the
                 # remaining survivors (no further delay — the blob is
                 # already off the first corpse).
-                survivors = self._alive()
+                survivors = self.alive_nodes()
                 if not survivors:
                     self.orphaned += 1
                     continue
                 ns = self._states[
                     self.router.home(request.tenant, [s.name for s in survivors])
                 ]
-            self._inject(ns, request)
+            self.migrated_requests += 1
+            ns.serving.adopt(request)
 
     # -- the cluster event loop --------------------------------------------
-    def _next_event_time(
-        self,
-        pending: Sequence[Request],
-        ai: int,
-        kills: Sequence[Tuple[float, str]],
-        ki: int,
-        crashes: Sequence[Tuple[float, str, str]],
-        ci: int,
-    ) -> Optional[float]:
-        t: Optional[float] = None
-        if ai < len(pending):
-            t = pending[ai].arrival_us
-        if ki < len(kills) and (t is None or kills[ki][0] < t):
-            t = kills[ki][0]
-        if ci < len(crashes) and (t is None or crashes[ci][0] < t):
-            t = crashes[ci][0]
-        if self._pending_migrations:
-            due = self._pending_migrations[0][0]
-            if t is None or due < t:
-                t = due
-        for ns in self._alive():
-            node_t = ns.serving._next_event_time((), 0, (), 0)
-            if node_t is not None and (t is None or node_t < t):
-                t = node_t
-        # Scrapes subdivide waits; they never extend the makespan.
-        scrape = self._next_scrape_us
-        if scrape is not None and t is not None and scrape < t:
-            t = scrape
-        return t
-
     def run(
         self,
         arrivals: Iterable[Request],
@@ -509,56 +446,51 @@ class ClusterServingSystem:
         deaths; ``crash_events`` a list of ``(time_us, node, device)``
         single-partition crashes (the figure-9 scenario on a named node).
         """
-        pending = sorted(arrivals, key=_ARRIVAL_ORDER)
-        kills = sorted(node_kill_events)
-        crashes = sorted(crash_events)
-        if self.telemetry is not None:
-            self._next_scrape_us = self._now + self.telemetry.scrape_interval_us
-        ai = ki = ci = 0
-        n_pending, n_kills, n_crashes = len(pending), len(kills), len(crashes)
-        while True:
-            now = self._next_event_time(pending, ai, kills, ki, crashes, ci)
-            if now is None:
-                break
-            if now > self._now:
-                self._now = now
-            for ns in self._alive():
-                sv = ns.serving
-                if self._now > sv._now:
-                    sv._now = self._now
-                sv._process_recoveries()
-            self._deliver_migrations()
-            while ai < n_pending and pending[ai].arrival_us <= self._now:
-                self.offer(pending[ai])
-                ai += 1
-            while ki < n_kills and kills[ki][0] <= self._now:
-                self.kill_node(kills[ki][1])
-                ki += 1
-            while ci < n_crashes and crashes[ci][0] <= self._now:
-                _, node, device = crashes[ci]
-                ns = self._states.get(node)
-                if ns is not None and ns.alive:
-                    ns.serving.crash_partition(device)
-                ci += 1
-            for ns in self._alive():
-                sv = ns.serving
-                for device in sv.batcher.due_partitions(sv._now):
-                    sv._flush(device)
-            if self.telemetry is not None and self._next_scrape_us is not None:
-                while self._next_scrape_us <= self._now:
-                    self.telemetry.scrape(self._next_scrape_us)
-                    self._next_scrape_us += self.telemetry.scrape_interval_us
+        phases = (
+            Phase(self._next_node_event, self._advance_nodes),
+            Phase(self._next_migration, self._deliver_migrations),
+            Cursor(sorted(arrivals, key=_ARRIVAL_ORDER), _ARRIVAL_US, self.offer),
+            Cursor(
+                sorted(node_kill_events), _AT, lambda event: self.kill_node(event[1])
+            ),
+            Cursor(sorted(crash_events), _AT, self._crash_partition),
+            Phase(None, self._flush_nodes),
+        )
+        drive(phases, self.telemetry, self._now)
         # Stream over: anything still parked on an alive node can never
         # run (same backstop as the single-node loop).
-        for ns in self._alive():
-            sv = ns.serving
-            for request in sv._parked:
-                sv._expire(request)
-            sv._parked.clear()
+        for ns in self.alive_nodes():
+            ns.serving.expire_parked()
         if self.telemetry is not None:
             self.telemetry.scrape(self._now)
-            self._next_scrape_us = None
         return self.report()
+
+    def _next_node_event(self) -> Optional[float]:
+        t: Optional[float] = None
+        for ns in self.alive_nodes():
+            node_t = ns.serving.next_event_time()
+            if node_t is not None and (t is None or node_t < t):
+                t = node_t
+        return t
+
+    def _next_migration(self) -> Optional[float]:
+        heap = self._pending_migrations
+        return heap[0][0] if heap else None
+
+    def _advance_nodes(self, now: float) -> None:
+        self._now = now
+        for ns in self.alive_nodes():
+            ns.serving.advance(now)
+
+    def _crash_partition(self, event: Tuple[float, str, str]) -> None:
+        _, node, device = event
+        ns = self._states.get(node)
+        if ns is not None and ns.alive:
+            ns.serving.crash_partition(device)
+
+    def _flush_nodes(self, now: float) -> None:
+        for ns in self.alive_nodes():
+            ns.serving.flush_due(now)
 
     # -- reporting ---------------------------------------------------------
     def cluster_metrics(self, into=None):
@@ -569,39 +501,19 @@ class ClusterServingSystem:
         from repro.obs.metric import MetricsRegistry
 
         registry = into if into is not None else MetricsRegistry(enabled=True)
-        for name in (n.name for n in self.cluster if n.name in self._states):
-            collect_system_metrics(
-                self._states[name].node.system, node=name, into=registry
-            )
+        for name, ns in self._states.items():
+            collect_system_metrics(ns.node.system, node=name, into=registry)
         return registry
 
     def _merged_slo(self) -> SLOTracker:
         merged = SLOTracker()
-        for ns in (self._states[n.name] for n in self.cluster if n.name in self._states):
+        for ns in self._states.values():
             for tenant, acct in sorted(ns.serving.slo.accounts().items()):
-                into = merged.account(tenant)
-                into.offered += acct.offered
-                into.admitted += acct.admitted
-                into.completed += acct.completed
-                into.deadline_met += acct.deadline_met
-                into.expired += acct.expired
-                into.requeued += acct.requeued
-                into.duplicates_avoided += acct.duplicates_avoided
-                for reason, count in acct.rejected.items():
-                    into.rejected[reason] = into.rejected.get(reason, 0) + count
-                into.latencies.extend(acct.latencies)
-                if acct.first_arrival_us is not None and (
-                    into.first_arrival_us is None
-                    or acct.first_arrival_us < into.first_arrival_us
-                ):
-                    into.first_arrival_us = acct.first_arrival_us
-                into.last_deadline_us = max(into.last_deadline_us, acct.last_deadline_us)
+                merged.account(tenant).merge(acct)
         return merged
 
     def report(self) -> ClusterReport:
-        node_names = tuple(
-            n.name for n in self.cluster if n.name in self._states
-        )
+        node_names = tuple(self._states)
         per_node = {name: self._states[name].serving.report() for name in node_names}
         merged = self._merged_slo()
         slo_text = merged.table()

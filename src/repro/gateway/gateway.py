@@ -20,7 +20,7 @@ passes :func:`repro.obs.export.validate_chrome_trace`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.cluster.serve import ClusterServingSystem
 from repro.gateway.registry import (
@@ -56,7 +56,7 @@ class Gateway:
             if spec.image_id not in self.cluster.images.images():
                 self.cluster.images.register(
                     spec.image_id,
-                    [ns.name for ns in self.cluster._alive()],
+                    [ns.name for ns in self.cluster.alive_nodes()],
                 )
 
     # -- placement ---------------------------------------------------------
@@ -74,10 +74,8 @@ class Gateway:
         """The node an invocation of ``spec`` lands on."""
         candidates = [
             name
-            for name in self.cluster.images.nodes_for(spec.image_id)
-            if name in self.cluster._states
-            and self.cluster._states[name].alive
-            and self._node_has_class(self.cluster._states[name], spec.device_class)
+            for name in self.cluster.candidates(spec.image_id)
+            if self._node_has_class(self.cluster.node_state(name), spec.device_class)
         ]
         if not candidates:
             raise GatewayError(
@@ -88,14 +86,9 @@ class Gateway:
 
     # -- transfer costing --------------------------------------------------
     def transfer_us(self, nbytes: int) -> float:
-        """Inter-node result handoff: one RTT + the payload over the
-        untrusted network + seal/unseal at both ends (``docs/costmodel.md``)."""
-        costs = self.cluster.cluster.costs
-        return (
-            costs.network_rtt_us
-            + costs.copy_cost_us(nbytes, per_kib=costs.network_us_per_kib)
-            + 2.0 * costs.copy_cost_us(nbytes, per_kib=costs.encryption_us_per_kib)
-        )
+        """Inter-node result handoff, costed like a checkpoint migration
+        (:meth:`ClusterServingSystem.migration_delay_us`)."""
+        return self.cluster.migration_delay_us(nbytes)
 
     # -- invocation --------------------------------------------------------
     def invoke(
@@ -110,7 +103,7 @@ class Gateway:
         """Run one function now (or at virtual instant ``at_us``)."""
         spec = self.registry.get(name)
         target = self.route_fn(spec, key if key is not None else name)
-        ns = self.cluster._states[target]
+        ns = self.cluster.node_state(target)
         start = self._clock.now if at_us is None else at_us
         span = self.obs.begin(
             f"fn:{name}", category="gateway", detached=True, ts=start,

@@ -22,11 +22,10 @@ event loop then:
   captures the corpse's recovery spans as a Chrome trace and attaches
   it to the node-death page fired at the next scrape.
 
-Scrape *scheduling* follows one rule everywhere: a scrape deadline only
-wins the next-event race when some real event exists after it — the
-pipeline never extends a run's makespan, it only subdivides waits that
-were going to happen anyway (a final scrape after the loop drains the
-tail).  With no pipeline attached every engine takes the exact code
+Scrape *scheduling* is the shared event core's
+(:func:`repro.sim.events.drive`): scrapes subdivide waits and never
+extend a run's makespan, and a final scrape after the loop drains the
+tail.  With no pipeline attached every engine takes the exact code
 paths it took before this module existed.
 """
 

@@ -17,18 +17,19 @@ Two notions of time coexist (see ``docs/serving.md``):
   batch's service time.  The global clock serializes all partitions'
   work, so it is *not* used directly as a latency axis.
 
-The inner loop is a **heap-driven event engine** (the raw-speed engine
-refactor): the event sources — the sorted arrival trace and crash
-schedule (cursor peeks), partition recoveries (a min-heap with lazy
-deletion), batch-flush obligations (the batcher's due heap), and, when
-the fleet is elastic, partition boot/park instants and autoscaler ticks —
-are merged by next-event time, so one simulated second of open-loop
-traffic costs O(events · log n) host work.  The pre-heap implementation
-rebuilt an event list and re-scanned every pending queue per step, which
-was O(events · n); it survives verbatim as
+The inner loop runs on the shared event core, :mod:`repro.sim.events`
+(phase order: ``docs/serving.md``, "Event phase order"): the arrival
+trace and crash schedule are cursors, recoveries and fleet boot/park
+instants are keyed timers, and batch-flush obligations come from the
+batcher's due heap, so one simulated second of open-loop traffic costs
+O(events · log n) host work.  The pre-heap implementation rebuilt an
+event list and re-scanned every pending queue per step, which was
+O(events · n); it survives verbatim as
 :class:`~repro.serve.legacy.LegacyServingSystem` and the scheduler
 equivalence suite asserts both engines produce byte-identical SLO tables,
-completion orders and audits from the same seeded trace.
+completion orders and audits from the same seeded trace.  A
+:class:`~repro.cluster.serve.ClusterServingSystem` drives each node only
+through the public node interface (``next_event_time`` … ``expire_parked``).
 
 **Elastic fleet** (the SLO-driven autoscaler): with an
 :class:`~repro.serve.autoscaler.AutoscalerPolicy` (or a fixed
@@ -57,10 +58,9 @@ or is reported expired, never duplicated.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -89,8 +89,11 @@ from repro.serve.batcher import DeadlineBatcher
 from repro.serve.placement import SpatialPlacer
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import Tenant, TenantRegistry, TenantSpec
+from repro.sim.events import Cursor, Phase, Timers, drive
 
 _ARRIVAL_ORDER = attrgetter("arrival_us", "rid")
+_ARRIVAL_US = attrgetter("arrival_us")
+_AT = itemgetter(0)
 
 #: Elastic-fleet device states (``ServingReport.fleet_states`` values).
 FLEET_LIVE = "live"
@@ -286,6 +289,9 @@ class ServingSystem:
         telemetry: Optional[object] = None,
     ) -> None:
         self.system = system
+        self._gpus = sorted(
+            name for name, mos in system.moses.items() if mos.device_type == "gpu"
+        )
         self.kernels = kernels
         self.service_model = service_model
         self.registry = TenantRegistry()
@@ -299,9 +305,8 @@ class ServingSystem:
         """device -> completion instants of work already flushed to the
         worker but not yet finished at ``_now`` (appended in increasing
         order because ``_free_at`` is monotone per device)."""
-        self._down_until: Dict[str, float] = {}
-        self._down_heap: List[Tuple[float, str]] = []
-        """(ready_at, device) recovery events, mirroring ``_down_until``."""
+        self._down = Timers()
+        """device -> instant its crash-recovery window closes."""
         self._parked: List[Request] = []
         self._admitted: Set[str] = set()
         self._completed: Dict[str, float] = {}
@@ -318,7 +323,6 @@ class ServingSystem:
         # -- telemetry pipeline (inert when None) --------------------------
         self.telemetry = telemetry
         self._tel_source = None
-        self._next_scrape_us: Optional[float] = None
         if telemetry is not None:
             # Owning engine: attach the underlying system (this enables
             # spans + metrics) and drive the scrape timer from run().
@@ -347,9 +351,9 @@ class ServingSystem:
         self._fleet_since: Dict[str, float] = {}
         """device -> start of its current live interval (virtual us)."""
         self._device_live_us: Dict[str, float] = {}
-        self._boot_at: Dict[str, float] = {}
+        self._boot_at = Timers()
         """device -> virtual instant its boot completes (mirrors booting)."""
-        self._park_at: Dict[str, float] = {}
+        self._park_at = Timers()
         """device -> virtual instant its drain ends (mirrors draining)."""
         self._next_tick_us: Optional[float] = None
         self._more_arrivals = False
@@ -371,16 +375,6 @@ class ServingSystem:
         pipeline and drives the scrape timer from its own loop."""
         self._tel_source = source
 
-    def _process_scrape(self) -> None:
-        """Fire every scrape boundary due at ``_now`` (the last phase of
-        an instant, so a scrape observes that instant's settled state)."""
-        if self.telemetry is None or self._next_scrape_us is None:
-            return
-        interval = self.telemetry.scrape_interval_us
-        while self._next_scrape_us <= self._now:
-            self.telemetry.scrape(self._next_scrape_us)
-            self._next_scrape_us += interval
-
     # -- the elastic fleet -------------------------------------------------
     def _ensure_fleet(self) -> None:
         """Switch to elastic-fleet mode (idempotent).
@@ -392,11 +386,7 @@ class ServingSystem:
         """
         if self._fleet is not None:
             return
-        gpus = sorted(
-            name
-            for name, mos in self.system.moses.items()
-            if mos.device_type == "gpu"
-        )
+        gpus = self._gpus
         if not gpus:
             raise ServingError("an elastic fleet requires at least one GPU partition")
         if self._initial_live is None:
@@ -475,7 +465,7 @@ class ServingSystem:
         if self._fleet.get(device) != FLEET_PARKED:
             return
         self._fleet[device] = FLEET_BOOTING
-        self._boot_at[device] = t_us + self.boot_delay_us
+        self._boot_at.schedule(device, t_us + self.boot_delay_us)
         self._record_scale(t_us, SCALE_BOOT, device)
 
     def _finish_boot(self, device: str) -> None:
@@ -504,7 +494,7 @@ class ServingSystem:
         state = self._fleet.get(device)
         if state == FLEET_BOOTING:
             # Cancelled mid-boot: nothing placed yet, park immediately.
-            self._boot_at.pop(device, None)
+            self._boot_at.cancel(device)
             self._fleet[device] = FLEET_PARKED
             self._record_scale(t_us, SCALE_RETIRE, device)
             self._record_scale(t_us, SCALE_PARK, device)
@@ -520,7 +510,7 @@ class ServingSystem:
                 ts=t_us, device=device,
             )
         self._flush(device, reason="drain")
-        self._park_at[device] = max(t_us, self._free_at.get(device, 0.0))
+        self._park_at.schedule(device, max(t_us, self._free_at.get(device, 0.0)))
 
     def _finish_park(self, device: str) -> None:
         """Drain complete: close the runtime and leave the fleet."""
@@ -543,18 +533,10 @@ class ServingSystem:
     def _process_fleet_timers(self) -> None:
         """Fire due boot-completions, then due parks (sorted by device,
         so same-instant transitions are deterministic on both engines)."""
-        if self._boot_at:
-            for device in sorted(
-                d for d, t in self._boot_at.items() if t <= self._now
-            ):
-                del self._boot_at[device]
-                self._finish_boot(device)
-        if self._park_at:
-            for device in sorted(
-                d for d, t in self._park_at.items() if t <= self._now
-            ):
-                del self._park_at[device]
-                self._finish_park(device)
+        for device in sorted(self._boot_at.pop_due(self._now)):
+            self._finish_boot(device)
+        for device in sorted(self._park_at.pop_due(self._now)):
+            self._finish_park(device)
 
     def _process_tick(self) -> None:
         """Run one autoscaler evaluation if its grid instant has come."""
@@ -624,101 +606,54 @@ class ServingSystem:
         previous autoscaled run's :meth:`ServingReport.scale_schedule` —
         replayed deterministically on the virtual timeline.
 
-        Event-engine loop: each step jumps the virtual clock to the next
-        event instant (an O(1) amortized merge of heap/cursor peeks)
-        and processes every event due at that instant in the fixed
-        recovery → fleet-timer → scale → arrival → crash → flush order,
-        which is the same virtual-time semantics as the legacy scan loop.
+        The phases below fire in the ``ServingSystem`` order of the
+        ``docs/serving.md`` phase table, the legacy scan loop's order.
         """
-        pending = sorted(arrivals, key=_ARRIVAL_ORDER)
-        crash_queue = sorted(crash_events)
-        scale_queue = self._begin_run(scale_events)
-        if self.telemetry is not None:
-            self._next_scrape_us = self._now + self.telemetry.scrape_interval_us
-        ai = ci = si = 0
-        n_pending, n_crash = len(pending), len(crash_queue)
-        n_scale = len(scale_queue)
-        while True:
-            self._more_arrivals = ai < n_pending
-            now = self._next_event_time(pending, ai, crash_queue, ci, scale_queue, si)
-            if now is None:
-                break
-            if now > self._now:
-                self._now = now
-            self._process_recoveries()
-            if self._fleet is not None:
-                self._process_fleet_timers()
-                while si < n_scale and scale_queue[si][0] <= self._now:
-                    _, action, device = scale_queue[si]
-                    self._apply_scale(self._now, action, device)
-                    si += 1
-                self._process_tick()
-            while ai < n_pending and pending[ai].arrival_us <= self._now:
-                self.offer(pending[ai])
-                ai += 1
-            while ci < n_crash and crash_queue[ci][0] <= self._now:
-                self.crash_partition(crash_queue[ci][1])
-                ci += 1
-            for device in self.batcher.due_partitions(self._now):
-                self._flush(device)
-            self._process_scrape()
-        # A parked request with no pending recovery or boot can never run
-        # (its partition was torn down outside the serving layer): report
-        # it expired rather than losing it silently.
-        for request in self._parked:
-            self._expire(request)
-        self._parked.clear()
+        arrivals = Cursor(
+            sorted(arrivals, key=_ARRIVAL_ORDER), _ARRIVAL_US, self.offer
+        )
+        crashes = Cursor(
+            sorted(crash_events), _AT, lambda event: self.crash_partition(event[1])
+        )
+        scales = Cursor(
+            self._begin_run(scale_events),
+            _AT,
+            lambda event: self._apply_scale(self._now, event[1], event[2]),
+        )
+        # Truthy while arrivals remain: the autoscaler only ticks alongside
+        # traffic, so a controller-only event never stretches the makespan.
+        self._more_arrivals = arrivals
+        phases = [Phase(self.next_event_time, self.advance)]
+        if self._fleet is not None:
+            phases += [
+                Phase(None, lambda now: self._process_fleet_timers()),
+                scales,
+                Phase(None, lambda now: self._process_tick()),
+            ]
+        phases += [arrivals, crashes, Phase(None, self.flush_due)]
+        drive(phases, self.telemetry, self._now)
+        self._more_arrivals = False
+        self.expire_parked()
         if self.telemetry is not None:
             # Final scrape at the makespan so the tail of the run lands
-            # in the store (scrape timers never extend the makespan).
+            # in the store.
             self.telemetry.scrape(self._now)
-            self._next_scrape_us = None
         return self.report()
 
-    def _next_event_time(
-        self,
-        pending: Sequence[Request],
-        ai: int,
-        crash_queue: Sequence[Tuple[float, str]],
-        ci: int,
-        scale_queue: Sequence[Tuple[float, str, str]] = (),
-        si: int = 0,
-    ) -> Optional[float]:
-        """The earliest instant any event source has work, or None.
-
-        Stale recovery-heap entries (their device already recovered under
-        a different deadline) are discarded as they surface.
-        """
-        t: Optional[float] = None
-        heap = self._down_heap
-        while heap:
-            until, device = heap[0]
-            if self._down_until.get(device) == until:
-                t = until
-                break
-            heapq.heappop(heap)
-        if ai < len(pending):
-            arrival = pending[ai].arrival_us
-            if t is None or arrival < t:
-                t = arrival
-        if ci < len(crash_queue):
-            crash = crash_queue[ci][0]
-            if t is None or crash < t:
-                t = crash
+    # -- the node interface (also driven by the cluster loop) ----------------
+    def next_event_time(self) -> Optional[float]:
+        """The earliest instant this node has work of its own at — a
+        recovery, a batch flush, a fleet boot/park or an autoscaler tick
+        (only while arrivals remain) — or None."""
+        t = self._down.peek()
         due = self.batcher.earliest_due()
         if due is not None and (t is None or due[0] < t):
             t = due[0]
         if self._fleet is not None:
-            # The fleet is architecturally small (<= the SPM partition
-            # cap), so min() scans beat heap maintenance here.
-            if self._boot_at:
-                boot = min(self._boot_at.values())
-                if t is None or boot < t:
-                    t = boot
-            if self._park_at:
-                park = min(self._park_at.values())
-                if t is None or park < t:
-                    t = park
+            for timers in (self._boot_at, self._park_at):
+                at = timers.peek()
+                if at is not None and (t is None or at < t):
+                    t = at
             tick = self._next_tick_us
             if (
                 tick is not None
@@ -726,16 +661,72 @@ class ServingSystem:
                 and (t is None or tick < t)
             ):
                 t = tick
-        if si < len(scale_queue):
-            scale = scale_queue[si][0]
-            if t is None or scale < t:
-                t = scale
-        # A scrape deadline only wins when a real event exists after it:
-        # telemetry subdivides waits, it never extends the makespan.
-        scrape = self._next_scrape_us
-        if scrape is not None and t is not None and scrape < t:
-            t = scrape
         return t
+
+    def advance(self, now: float) -> None:
+        """Move the node's clock to ``now`` and close every recovery
+        window due by then; parked work re-places on the recovered
+        partitions."""
+        if now > self._now:
+            self._now = now
+        if not self._down:
+            return
+        recovered = list(self._down.pop_due(self._now))
+        if not recovered:
+            return
+        for device in recovered:
+            self.placer.mark_dirty(device)
+        self._replace_parked()
+
+    def flush_due(self, now: float) -> None:
+        """Flush every partition whose batch is due at ``now``."""
+        for device in self.batcher.due_partitions(now):
+            self._flush(device)
+
+    def backlog(self) -> int:
+        """Admitted work not yet finished: parked requests plus every GPU
+        partition's pending and still-executing requests."""
+        total = len(self._parked)
+        for device in self._gpus:
+            total += self._effective_depth(device)
+        return total
+
+    def harvest(self) -> List[Request]:
+        """The machine under this node dies: fail every partition not
+        already mid-recovery (the SPM scrub runs on the way down) and hand
+        back every admitted-but-unfinished request, in arrival order."""
+        unfinished: List[Request] = []
+        for device in sorted(self.batcher.depths()):
+            unfinished.extend(self.batcher.evict(device))
+        unfinished.extend(self._parked)
+        self._parked = []
+        unfinished.sort(key=_ARRIVAL_ORDER)
+        for device in self._gpus:
+            if device not in self._down:
+                self.system.fail_partition(device, background=True)
+        return unfinished
+
+    def adopt(self, request: Request) -> None:
+        """Take over a request admitted on another node: its admitted state
+        moves with it (no re-charge of the rate limiter), then it places —
+        or, if its deadline passed in transit, expires — exactly once."""
+        self._admitted.add(request.rid)
+        tenant = self.registry.get(request.tenant)
+        tenant.in_flight += 1
+        tenant.in_flight_bytes += request.memory_bytes
+        self.slo.record_requeued(request)
+        if request.deadline_us < self._now:
+            self._expire(request)
+        else:
+            self._place(request)
+
+    def expire_parked(self) -> None:
+        """End of the stream: a parked request with no recovery or boot
+        pending can never run (its partition was torn down outside the
+        serving layer), so report it expired rather than lose it."""
+        for request in self._parked:
+            self._expire(request)
+        self._parked.clear()
 
     def offer(self, request: Request) -> AdmissionDecision:
         """Admit (and place) or reject one request at its arrival time."""
@@ -793,7 +784,7 @@ class ServingSystem:
         device = mos.partition.device.name
         if self._fleet is not None and self._fleet.get(device, FLEET_LIVE) != FLEET_LIVE:
             return False
-        return self._down_until.get(device, self._now) <= self._now
+        return self._down.get(device, self._now) <= self._now
 
     def _effective_depth(self, device_name: str) -> int:
         """Pending queue depth plus requests still executing on the worker.
@@ -1012,21 +1003,9 @@ class ServingSystem:
         """
         if self.system.moses.get(device) is None:
             raise ServingError(f"no partition manages device {device!r}")
-        if device in self._down_until:
-            return self._down_until[device]
-        rec = self.system.fail_partition(device, background=True)
-        ready_at = self._now + rec.total_us
-        self._down_until[device] = ready_at
-        heapq.heappush(self._down_heap, (ready_at, device))
-        self.placer.mark_dirty(device)
-        self.crashes.append(device)
-        if self._obs.enabled:
-            self._obs.event(
-                "serve.crash", category="serve", ts=self._now,
-                device=device, ready_at_us=ready_at,
-            )
-        if self._metrics.enabled:
-            self._metrics.counter("serve", "crashes").inc()
+        if device in self._down:
+            return self._down.get(device)
+        ready_at = self._mark_down(device)
         self._handle_worker_failure(device, [])
         return ready_at
 
@@ -1038,23 +1017,26 @@ class ServingSystem:
         ``SRPCPeerFailure`` in the executing batch, and the normal
         failover path re-queues the unfinished requests.
         """
-        mos = self.system.moses.get(device)
-        if mos is None or device in self._down_until:
+        if self.system.moses.get(device) is None or device in self._down:
             return
+        self._mark_down(device, injected=True)
+
+    def _mark_down(self, device: str, **event) -> float:
+        """Fail the partition (background recovery) and keep it out of
+        placement until its recovery window closes; returns that instant."""
         rec = self.system.fail_partition(device, background=True)
         ready_at = self._now + rec.total_us
-        self._down_until[device] = ready_at
-        heapq.heappush(self._down_heap, (ready_at, device))
+        self._down.schedule(device, ready_at)
         self.placer.mark_dirty(device)
         self.crashes.append(device)
         if self._obs.enabled:
             self._obs.event(
                 "serve.crash", category="serve", ts=self._now,
-                device=device, ready_at_us=ready_at,
-                injected=True,
+                device=device, ready_at_us=ready_at, **event,
             )
         if self._metrics.enabled:
             self._metrics.counter("serve", "crashes").inc()
+        return ready_at
 
     def _handle_worker_failure(self, device: str, leftover: List[Request]) -> None:
         """Abandon the worker and re-queue admitted-but-unfinished work."""
@@ -1063,7 +1045,7 @@ class ServingSystem:
             worker.abandon()
         self.placer.mark_dirty(device)
         requeue = list(leftover)
-        if device in self._down_until or not self._batcher_live(device):
+        if device in self._down or not self._batcher_live(device):
             requeue.extend(self.batcher.evict(device))
         for request in requeue:
             self.slo.record_requeued(request)
@@ -1093,20 +1075,6 @@ class ServingSystem:
             else:
                 self._place(request)
 
-    def _process_recoveries(self) -> None:
-        heap = self._down_heap
-        recovered: List[str] = []
-        while heap and heap[0][0] <= self._now:
-            until, device = heapq.heappop(heap)
-            if self._down_until.get(device) == until:
-                del self._down_until[device]
-                recovered.append(device)
-        if not recovered:
-            return
-        for device in recovered:
-            self.placer.mark_dirty(device)
-        self._replace_parked()
-
     # -- reporting ---------------------------------------------------------
     def _device_seconds(self) -> float:
         """Fleet-on simulated seconds: live intervals summed per device.
@@ -1116,10 +1084,7 @@ class ServingSystem:
         kept each device live (booting/draining time counts as live — the
         device is powered while the mOS loads and the drain finishes)."""
         if self._fleet is None:
-            gpus = sum(
-                1 for mos in self.system.moses.values() if mos.device_type == "gpu"
-            )
-            return gpus * self._now / 1e6
+            return len(self._gpus) * self._now / 1e6
         total = 0.0
         for device in sorted(set(self._device_live_us) | set(self._fleet_since)):
             total += self._device_live_us.get(device, 0.0)

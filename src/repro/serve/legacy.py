@@ -266,8 +266,8 @@ class LegacyServingSystem(ServingSystem):
         while True:
             self._more_arrivals = ai < len(pending)
             events: List[Tuple[float, int]] = []
-            if self._down_until:
-                events.append((min(self._down_until.values()), 0))
+            if self._down:
+                events.append((min(t for _, t in self._down.items()), 0))
             if ai < len(pending):
                 events.append((pending[ai].arrival_us, 1))
             if ci < len(crash_queue):
@@ -277,9 +277,9 @@ class LegacyServingSystem(ServingSystem):
                 events.append((due[0], 3))
             if self._fleet is not None:
                 if self._boot_at:
-                    events.append((min(self._boot_at.values()), 4))
+                    events.append((min(t for _, t in self._boot_at.items()), 4))
                 if self._park_at:
-                    events.append((min(self._park_at.values()), 5))
+                    events.append((min(t for _, t in self._park_at.items()), 5))
                 if self._next_tick_us is not None and self._more_arrivals:
                     events.append((self._next_tick_us, 6))
             if si < len(scale_queue):
@@ -310,10 +310,10 @@ class LegacyServingSystem(ServingSystem):
 
     def _process_recoveries(self) -> None:
         recovered = sorted(
-            d for d, until in self._down_until.items() if until <= self._now
+            d for d, until in self._down.items() if until <= self._now
         )
         for device in recovered:
-            del self._down_until[device]
+            self._down.cancel(device)
         if recovered and self._parked:
             parked, self._parked = self._parked, []
             for request in parked:

@@ -30,18 +30,18 @@ inference frontend for the :mod:`repro.workloads.llm` workload:
 
 Time follows the frontend's dual-time doctrine: the engine runs a
 virtual event timeline (arrivals, iteration boundaries, crashes,
-recoveries) that all SLO metrics use, while the platform clock keeps
-metering the real execution costs of the sRPC/KV machinery underneath.
+recoveries) on the shared event core, :mod:`repro.sim.events`, and all
+SLO metrics use it, while the platform clock keeps metering the real
+execution costs of the sRPC/KV machinery underneath.
 Virtual durations come from :class:`~repro.workloads.llm.LLMCostModel`,
 calibrated against the same GPU constants as the kernel timing model.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -56,10 +56,13 @@ from repro.serve.batcher import ContinuousBatcher, MODE_CONTINUOUS
 from repro.serve.placement import SpatialPlacer
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import Tenant, TenantRegistry, TenantSpec
+from repro.sim.events import Cursor, Phase, Timers, drive
 from repro.workloads.llm import LLMConfig, LLMCostModel, PagedKVCache
 
 _DATACLASS_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 _ARRIVAL_ORDER = attrgetter("arrival_us", "rid")
+_ARRIVAL_US = attrgetter("arrival_us")
+_AT = itemgetter(0)
 
 #: Stream id token records ride on (stream 0 carries the cuda* mecalls).
 TOKEN_STREAM = 1
@@ -352,10 +355,10 @@ class LLMEngine:
         self._caches: Dict[str, PagedKVCache] = {}
         self._streamers: Dict[str, _TokenStreamer] = {}
         self._sequences: Dict[str, SequenceState] = {}
-        self._step_end: Dict[str, float] = {}
-        self._step_heap: List[Tuple[float, str]] = []
-        self._down_until: Dict[str, float] = {}
-        self._down_heap: List[Tuple[float, str]] = []
+        self._steps = Timers()
+        """device -> end of its in-flight decode iteration."""
+        self._down = Timers()
+        """device -> instant its crash-recovery window closes."""
         self._parked: List[SequenceState] = []
         self._admitted: Set[str] = set()
         self._completed: Dict[str, float] = {}
@@ -371,7 +374,6 @@ class LLMEngine:
         # -- telemetry pipeline (inert when None) --------------------------
         self.telemetry = telemetry
         self._tel_source = None
-        self._next_scrape_us: Optional[float] = None
         if telemetry is not None:
             self._tel_source = telemetry.attach(
                 system, slo=self.slo, extra=self._telemetry_extra
@@ -397,14 +399,6 @@ class LLMEngine:
             ),
         }
 
-    def _process_scrape(self) -> None:
-        if self.telemetry is None or self._next_scrape_us is None:
-            return
-        interval = self.telemetry.scrape_interval_us
-        while self._next_scrape_us <= self._now:
-            self.telemetry.scrape(self._next_scrape_us)
-            self._next_scrape_us += interval
-
     # -- per-device state --------------------------------------------------
     def _cache(self, device: str) -> PagedKVCache:
         cache = self._caches.get(device)
@@ -422,7 +416,7 @@ class LLMEngine:
         return streamer
 
     def _is_ready(self, mos) -> bool:
-        return self._down_until.get(mos.partition.device.name, self._now) <= self._now
+        return self._down.get(mos.partition.device.name, self._now) <= self._now
 
     # -- admission + placement ---------------------------------------------
     def offer(self, request: LLMRequest) -> AdmissionDecision:
@@ -481,7 +475,7 @@ class LLMEngine:
         """Admit waiting sequences at the boundary and schedule the next
         iteration's completion instant (no-op if one is in flight or the
         device is inside its recovery window)."""
-        if device in self._step_end or self._down_until.get(device, 0.0) > self._now:
+        if device in self._steps or self._down.get(device, 0.0) > self._now:
             return
         admitted = self.batcher.admit(device)
         running = self.batcher.running(device)
@@ -498,9 +492,7 @@ class LLMEngine:
         duration = prefill_us + self.cost.decode_step_us(
             [s.context_len for s in running]
         )
-        end = self._now + duration
-        self._step_end[device] = end
-        heapq.heappush(self._step_heap, (end, device))
+        self._steps.schedule(device, self._now + duration)
         if self._metrics.enabled:
             self._metrics.histogram("llm", "iteration_us").observe(duration)
 
@@ -526,20 +518,16 @@ class LLMEngine:
 
     def _finish_iteration(self, device: str) -> None:
         """One decode boundary: every resident sequence emits one token."""
-        del self._step_end[device]
         if _faults.ACTIVE is not None:
             partition = self.system.spm.partition_for_device(device)
             restarts = partition.restarts
             _faults.ACTIVE.fire("llm.decode.step", default_target=device)
-            if (
-                partition.restarts != restarts
-                or device in self._down_until
-            ):
+            if partition.restarts != restarts or device in self._down:
                 # The injected crash killed this very partition: the
                 # iteration dies with it (no tokens emitted), and the
                 # injector's crash handler (or our own crash path) owns
                 # the victim re-prefill bookkeeping.
-                if device not in self._down_until:
+                if device not in self._down:
                     self.crash_device(device)
                 return
         self.iterations += 1
@@ -605,8 +593,8 @@ class LLMEngine:
         """
         if self.system.moses.get(device) is None:
             raise LLMServingError(f"no partition manages device {device!r}")
-        if device in self._down_until:
-            return self._down_until[device]
+        if device in self._down:
+            return self._down.get(device)
         cache = self._caches.get(device)
         victim_pages: List[int] = []
         if cache is not None and not cache.stale:
@@ -614,11 +602,10 @@ class LLMEngine:
                 victim_pages.extend(cache.pages_of(rid))
         rec = self.system.fail_partition(device, background=True)
         ready_at = self._now + rec.total_us
-        self._down_until[device] = ready_at
-        heapq.heappush(self._down_heap, (ready_at, device))
+        self._down.schedule(device, ready_at)
         self.crashes.append(device)
         self.placer.mark_dirty(device)
-        self._step_end.pop(device, None)  # the in-flight iteration died
+        self._steps.cancel(device)  # the in-flight iteration died
         # Scrub audit: recovery's clear step ran synchronously above, so
         # every KV page the victims held must already read as zeros.
         memory = self.system.platform.memory
@@ -659,14 +646,11 @@ class LLMEngine:
             self._place(sequence)
         return ready_at
 
-    def _process_recoveries(self) -> None:
-        heap = self._down_heap
-        recovered: List[str] = []
-        while heap and heap[0][0] <= self._now:
-            until, device = heapq.heappop(heap)
-            if self._down_until.get(device) == until:
-                del self._down_until[device]
-                recovered.append(device)
+    def _advance(self, now: float) -> None:
+        """Move the clock to ``now`` and close due recovery windows: parked
+        sequences re-place, then the recovered devices resume decoding."""
+        self._now = now
+        recovered = list(self._down.pop_due(now))
         if not recovered:
             return
         for device in recovered:
@@ -688,35 +672,18 @@ class LLMEngine:
         """Serve an open-loop sequence stream to completion.
 
         ``crash_events`` is a list of ``(time_us, device)`` partition
-        crashes injected mid-decode.  Event phases at one instant follow
-        the frontend's fixed order: recoveries → iteration boundaries →
-        arrivals → crashes.
+        crashes injected mid-decode.  Phase order: the ``LLMEngine`` row
+        of the ``docs/serving.md`` phase table.
         """
-        pending = sorted(arrivals, key=_ARRIVAL_ORDER)
-        crash_queue = sorted(crash_events)
-        if self.telemetry is not None:
-            self._next_scrape_us = self._now + self.telemetry.scrape_interval_us
-        ai = ci = 0
-        n_pending, n_crash = len(pending), len(crash_queue)
-        while True:
-            now = self._next_event_time(pending, ai, crash_queue, ci)
-            if now is None:
-                break
-            if now > self._now:
-                self._now = now
-            self._process_recoveries()
-            step_heap = self._step_heap
-            while step_heap and step_heap[0][0] <= self._now:
-                end, device = heapq.heappop(step_heap)
-                if self._step_end.get(device) == end:
-                    self._finish_iteration(device)
-            while ai < n_pending and pending[ai].arrival_us <= self._now:
-                self.offer(pending[ai])
-                ai += 1
-            while ci < n_crash and crash_queue[ci][0] <= self._now:
-                self.crash_device(crash_queue[ci][1])
-                ci += 1
-            self._process_scrape()
+        phases = (
+            Phase(self._down.peek, self._advance),
+            Phase(self._steps.peek, self._finish_iterations),
+            Cursor(sorted(arrivals, key=_ARRIVAL_ORDER), _ARRIVAL_US, self.offer),
+            Cursor(
+                sorted(crash_events), _AT, lambda event: self.crash_device(event[1])
+            ),
+        )
+        drive(phases, self.telemetry, self._now)
         # Parked sequences with no recovery pending can never decode
         # (every partition they may use is gone): report them expired.
         for sequence in self._parked:
@@ -736,45 +703,11 @@ class LLMEngine:
         self._parked.clear()
         if self.telemetry is not None:
             self.telemetry.scrape(self._now)
-            self._next_scrape_us = None
         return self.report()
 
-    def _next_event_time(
-        self,
-        pending: Sequence[LLMRequest],
-        ai: int,
-        crash_queue: Sequence[Tuple[float, str]],
-        ci: int,
-    ) -> Optional[float]:
-        t: Optional[float] = None
-        heap = self._down_heap
-        while heap:
-            until, device = heap[0]
-            if self._down_until.get(device) == until:
-                t = until
-                break
-            heapq.heappop(heap)
-        step_heap = self._step_heap
-        while step_heap:
-            end, device = step_heap[0]
-            if self._step_end.get(device) == end:
-                if t is None or end < t:
-                    t = end
-                break
-            heapq.heappop(step_heap)
-        if ai < len(pending):
-            arrival = pending[ai].arrival_us
-            if t is None or arrival < t:
-                t = arrival
-        if ci < len(crash_queue):
-            crash = crash_queue[ci][0]
-            if t is None or crash < t:
-                t = crash
-        # Scrapes subdivide waits; they never extend the makespan.
-        scrape = self._next_scrape_us
-        if scrape is not None and t is not None and scrape < t:
-            t = scrape
-        return t
+    def _finish_iterations(self, now: float) -> None:
+        for device in self._steps.pop_due(now):
+            self._finish_iteration(device)
 
     # -- reporting ---------------------------------------------------------
     def report(self) -> LLMReport:

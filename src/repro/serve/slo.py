@@ -50,6 +50,12 @@ def nearest_rank(sorted_values: List[float], pct: float) -> float:
     return sorted_values[rank - 1]
 
 
+def _earliest(a: Optional[float], b: Optional[float]) -> Optional[float]:
+    if a is None:
+        return b
+    return a if b is None or a <= b else b
+
+
 @dataclass
 class SLOAccount:
     """Mutable per-tenant tally."""
@@ -76,6 +82,32 @@ class SLOAccount:
     itl_us: List[float] = field(default_factory=list)
     first_token_us: Optional[float] = None
     last_token_us: float = 0.0
+
+    def merge(self, other: "SLOAccount") -> None:
+        """Fold ``other``'s tally into this one (a cluster roll-up): the
+        result equals one account fed this account's record stream then
+        ``other``'s."""
+        self.offered += other.offered
+        self.admitted += other.admitted
+        self.completed += other.completed
+        self.deadline_met += other.deadline_met
+        self.expired += other.expired
+        self.requeued += other.requeued
+        self.duplicates_avoided += other.duplicates_avoided
+        for reason, count in other.rejected.items():
+            self.rejected[reason] = self.rejected.get(reason, 0) + count
+        self.latencies.extend(other.latencies)
+        self.first_arrival_us = _earliest(self.first_arrival_us, other.first_arrival_us)
+        self.last_deadline_us = max(self.last_deadline_us, other.last_deadline_us)
+        self.sequences += other.sequences
+        self.finished_sequences += other.finished_sequences
+        self.preempted_sequences += other.preempted_sequences
+        self.reprefills += other.reprefills
+        self.tokens += other.tokens
+        self.ttft_us.extend(other.ttft_us)
+        self.itl_us.extend(other.itl_us)
+        self.first_token_us = _earliest(self.first_token_us, other.first_token_us)
+        self.last_token_us = max(self.last_token_us, other.last_token_us)
 
     @property
     def rejected_total(self) -> int:

@@ -279,6 +279,57 @@ class TestSLOMath:
         acct.deadline_met = 10
         assert acct.goodput_rps == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_merge_equals_one_account_fed_both_streams(self, seed):
+        import random
+
+        from repro.serve.slo import SLOTracker
+
+        def feed(tracker, rng, n):
+            last_token = {}
+            for i in range(n):
+                arrival = rng.uniform(0.0, 1e5)
+                req = request(
+                    f"r{i}", arrival=arrival, deadline=arrival + rng.uniform(1e3, 1e4)
+                )
+                tracker.record_offered(req)
+                fate = rng.choice(["rejected", "completed", "expired", "decode"])
+                if fate == "rejected":
+                    tracker.record_rejected(req, rng.choice(["rate", "quota"]))
+                    continue
+                tracker.record_admitted(req)
+                if rng.random() < 0.3:
+                    tracker.record_requeued(req)
+                    tracker.record_duplicate_avoided(req)
+                if fate == "completed":
+                    tracker.record_completed(req, arrival + rng.uniform(0.0, 2e4))
+                elif fate == "expired":
+                    tracker.record_expired(req)
+                else:
+                    tracker.record_sequence(req)
+                    if rng.random() < 0.5:
+                        tracker.record_sequence_preempted(req)
+                        tracker.record_reprefill(req)
+                    for _ in range(rng.randint(1, 4)):
+                        emit = last_token.get(req.rid, arrival) + rng.uniform(1.0, 50.0)
+                        tracker.record_token(
+                            req, emit, prev_token_us=last_token.get(req.rid)
+                        )
+                        last_token[req.rid] = emit
+                    tracker.record_sequence_finished(req)
+
+        first, second, both = SLOTracker(), SLOTracker(), SLOTracker()
+        feed(first, random.Random(seed), 40)
+        feed(second, random.Random(seed + 100), 40)
+        feed(both, random.Random(seed), 40)
+        feed(both, random.Random(seed + 100), 40)
+        merged = first.account("t")
+        merged.merge(second.account("t"))
+        assert merged == both.account("t")
+        empty = SLOAccount(tenant="t")
+        empty.merge(both.account("t"))
+        assert empty == both.account("t")
+
     def test_row_is_byte_stable(self):
         acct = SLOAccount(tenant="t")
         row = acct.row()
