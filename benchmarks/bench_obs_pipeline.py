@@ -26,7 +26,10 @@ at the repo root:
   the combined store+alert fingerprints must be **byte-identical**.
 
 Wall-clock ratios use ``time.process_time`` and min-of-N repeats so the
-gate measures the pipeline, not the host's scheduling noise.
+gate measures the pipeline, not the host's scheduling noise.  Every
+"must" above is a rule of the bench contract
+(``scripts/check_bench_schema.py``), which holds the document to it
+before the bench exits.
 
 Run standalone (writes ``BENCH_obs.json``)::
 
@@ -60,6 +63,9 @@ from repro.serve.tenants import TenantSpec
 from repro.systems import CronusSystem, TestbedConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
+from check_bench_schema import check, gate  # noqa: E402
+
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_obs.json"
 
 SCHEMA = "cronus.bench_obs/v1"
@@ -180,11 +186,6 @@ def run_overhead(specs, requests, *, repeats, ceiling, log):
         f"(ceiling {ceiling}x), pipeline/off = {instrumentation_ratio:.3f}x, "
         f"report fingerprints {'identical' if fingerprints_equal else 'DIVERGED'}"
     )
-    if not fingerprints_equal:
-        raise SystemExit(
-            "telemetry perturbed the simulation: report fingerprints "
-            f"diverged across variants: {fingerprints}"
-        )
     return {
         "off_wall_s": round(walls["off"], 4),
         "instrumented_wall_s": round(walls["instrumented"], 4),
@@ -341,8 +342,6 @@ def run_replay(specs, requests, kill_at_us, first, *, log):
         f"alerts {'identical' if alerts_equal else 'DIVERGED'} "
         f"({first.store.scrapes} scrapes, {len(first.alerts.alerts)} alerts)"
     )
-    if not (store_equal and alerts_equal):
-        raise SystemExit("telemetry replay diverged")
     return {
         "store_fingerprints_equal": store_equal,
         "alert_fingerprints_equal": alerts_equal,
@@ -418,50 +417,22 @@ def main(argv=None):
     doc = run_bench(smoke=args.smoke)
     doc["mode"] = "smoke" if args.smoke else "full"
     args.output.write_text(json.dumps(doc, indent=2) + "\n")
-    overhead = doc["overhead"]
-    print(
-        f"bench_obs_pipeline: pipeline overhead {overhead['ratio']}x "
-        f"(ceiling {overhead['ceiling']}x), node-death page in "
-        f"{doc['node_kill']['detection_us'] / 1e3:.1f}ms, replay byte-identical "
-        f"-> {args.output}"
-    )
-    if overhead["ratio"] > overhead["ceiling"]:
-        raise SystemExit(
-            f"pipeline overhead {overhead['ratio']}x exceeds the "
-            f"{overhead['ceiling']}x acceptance ceiling"
-        )
+    if gate(args.output):
+        raise SystemExit(1)
     return doc
 
 
 if pytest is not None:
 
     @pytest.mark.obs
-    def test_obs_pipeline_smoke(tmp_path):
-        """The CI smoke slice: recording is inert, detection is bounded,
-        replay is byte-identical, and the document passes its contract."""
+    def test_obs_pipeline_smoke():
+        """The CI smoke slice honours the bench contract: recording is
+        inert, detection is bounded and replay is byte-identical."""
         doc = run_bench(smoke=True, log=lambda *_: None)
-        assert doc["overhead"]["report_fingerprints_equal"] is True
-        assert doc["overhead"]["makespans_equal"] is True
-        assert doc["overhead"]["ratio"] <= doc["overhead"]["ceiling"]
-        assert doc["node_kill"]["within_one_interval"] is True
-        assert doc["node_kill"]["recovery_trace_events"] > 0
-        assert doc["node_kill"]["schema_ok"] is True
-        assert doc["node_kill"]["dumped_traces"] >= 1
-        assert doc["noisy"]["within_slow_window"] is True
-        assert doc["noisy"]["victim_false_pages"] == 0
-        assert doc["replay"]["store_fingerprints_equal"] is True
-        assert doc["replay"]["alert_fingerprints_equal"] is True
-        assert doc["sampler"]["retained"] > 0
+        # Not a contract rule: failure-evidence traces bypass the byte budget by design.
         assert doc["sampler"]["retained_bytes"] <= doc["sampler"]["byte_budget"] * NODES
         doc["mode"] = "smoke"
-        out = tmp_path / "BENCH_obs.json"
-        out.write_text(json.dumps(doc))
-        sys.path.insert(0, str(REPO_ROOT / "scripts"))
-        try:
-            from check_bench_schema import validate_obs
-        finally:
-            sys.path.pop(0)
-        assert validate_obs(json.loads(out.read_text())) == []
+        assert check(json.loads(json.dumps(doc))) == []
 
 
 if __name__ == "__main__":

@@ -11,7 +11,10 @@ the repo root:
 * beyond ``LEGACY_MAX`` only the heap engine runs (the legacy scan loop
   would take minutes per point), so its rows simply stop;
 * the acceptance ratio is taken at the largest point both engines ran
-  (the 100k-arrival point in the full sweep) and must be >= 10x.
+  (the 100k-arrival point in the full sweep) and must be >= 10x; the
+  10k smoke slice must still be a decisive (> 3x) win.  Both bars, like
+  every other rule of the document, are held by the bench contract
+  (``scripts/check_bench_schema.py``) before the bench exits.
 
 Both engines use the synthetic service-time model — a pure function of
 each request — so the sweep measures the *scheduling engine*, not a
@@ -45,6 +48,9 @@ from repro.serve.legacy import LegacyServingSystem
 from repro.serve.loadgen import LoadProfile, generate_trace, synthetic_service_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
+from check_bench_schema import check, gate  # noqa: E402
+
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_scale.json"
 
 SCHEMA = "cronus.bench_scale/v1"
@@ -61,7 +67,6 @@ MEAN_RATE_RPS = 200_000.0
 FULL_SWEEP = (1_000, 10_000, 100_000, 1_000_000)
 SMOKE_SWEEP = (1_000, 10_000)
 LEGACY_MAX = 100_000  # the scan engine is not run past this point
-SPEEDUP_FLOOR = 10.0  # acceptance: heap >= 10x legacy at the ratio point
 
 
 def scale_profile(arrivals):
@@ -130,12 +135,6 @@ def run_sweep(sweep, *, legacy_max=LEGACY_MAX, log=print):
             )
             equal = heap_row["fingerprint"] == legacy_row["fingerprint"]
             equivalence.append({"arrivals": arrivals, "fingerprints_equal": equal})
-            if not equal:
-                raise SystemExit(
-                    f"engines diverged at {arrivals} arrivals: "
-                    f"heap {heap_row['fingerprint'][:16]} != "
-                    f"legacy {legacy_row['fingerprint'][:16]}"
-                )
     ratio_point = max(a for a in sweep if a <= legacy_max)
     by_key = {(r["engine"], r["arrivals"]): r for r in rows}
     heap_rps = by_key[("heap", ratio_point)]["req_per_s"]
@@ -181,42 +180,20 @@ def main(argv=None):
     doc = run_sweep(sweep)
     doc["mode"] = "smoke" if args.smoke else "full"
     args.output.write_text(json.dumps(doc, indent=2) + "\n")
-    speed = doc["speedup"]
-    print(
-        f"bench_scale: speedup at {speed['arrivals']:,} arrivals = "
-        f"{speed['ratio']}x ({speed['heap_req_per_s']:,.0f} vs "
-        f"{speed['legacy_req_per_s']:,.0f} req/s) -> {args.output}"
-    )
-    if not args.smoke and speed["ratio"] < SPEEDUP_FLOOR:
-        raise SystemExit(
-            f"speedup {speed['ratio']}x below the {SPEEDUP_FLOOR}x acceptance floor"
-        )
+    if gate(args.output):
+        raise SystemExit(1)
     return doc
 
 
 if pytest is not None:
 
     @pytest.mark.scale
-    def test_scale_smoke(tmp_path):
-        """The CI smoke slice: engines agree byte-for-byte and the heap
-        engine is decisively faster even at the 10k point."""
+    def test_scale_smoke():
+        """The CI smoke slice honours the bench contract: the engines agree
+        byte-for-byte and the heap engine is decisively faster."""
         doc = run_sweep(SMOKE_SWEEP, log=lambda *_: None)
-        assert doc["equivalence"], "no equivalence points were measured"
-        assert all(e["fingerprints_equal"] for e in doc["equivalence"])
-        # The full-sweep acceptance ratio (>= 10x) is measured at 100k
-        # arrivals; at the 10k smoke point we only require a decisive win
-        # so a noisy shared CI runner cannot flake the job.
-        assert doc["speedup"]["ratio"] > 3.0
-        # The emitted document passes the published schema contract.
         doc["mode"] = "smoke"
-        out = tmp_path / "BENCH_scale.json"
-        out.write_text(json.dumps(doc))
-        sys.path.insert(0, str(REPO_ROOT / "scripts"))
-        try:
-            from check_bench_schema import validate
-        finally:
-            sys.path.pop(0)
-        assert validate(json.loads(out.read_text())) == []
+        assert check(json.loads(json.dumps(doc))) == []
 
 
 if __name__ == "__main__":
