@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro.dispatch.client import RemoteClient
+from repro.mos.hal import HalError
 from repro.secure.monitor import AttestationError
 from repro.sim import CostModel
 from repro.systems import CronusSystem, TestbedConfig
@@ -94,9 +95,12 @@ class Cluster:
 
         Each verification charges one network round trip on the verifying
         node (report + response).  Returns the number of verifications.
-        A node failing verification is expelled (marked not attested).
+        A node is attested only if it is alive and every live verifier's
+        check of it passed; a node whose report fails to verify, or that
+        cannot produce one (unendorsed device hardware), is expelled.
         """
         verifications = 0
+        rejected = set()
         for verifier in self.nodes:
             if not verifier.alive:
                 continue
@@ -106,14 +110,13 @@ class Cluster:
                 client = RemoteClient.for_system(target.system)
                 try:
                     client.verify(target.system.attest_platform(), target.device_certs())
-                except AttestationError:
-                    target.attested = False
+                except (AttestationError, HalError):
+                    rejected.add(target.name)
                     continue
                 verifier.system.clock.advance(self.costs.network_rtt_us)
                 verifications += 1
         for node in self.nodes:
-            if node.alive:
-                node.attested = True
+            node.attested = node.alive and node.name not in rejected
         return verifications
 
     # -- membership / placement ------------------------------------------------

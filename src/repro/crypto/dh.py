@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from repro.crypto.group import G, P, Q, hash_to_int, int_to_bytes
+from repro.crypto.group import P, hash_to_int, int_to_bytes, pow_g
 
 
 class DiffieHellman:
@@ -22,7 +22,7 @@ class DiffieHellman:
         self._secret = hash_to_int(seed, b"dh-secret")
         if self._secret == 0:
             self._secret = 1
-        self.public = pow(G, self._secret, P)
+        self.public = pow_g(self._secret)
 
     def shared_secret(self, peer_public: int) -> bytes:
         """Derive the 32-byte shared secret from the peer's public value."""

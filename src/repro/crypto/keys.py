@@ -12,11 +12,26 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.crypto.group import G, P, Q, hash_to_int, int_to_bytes
+from repro.crypto.group import P, Q, hash_to_int, int_to_bytes, jacobi, pow_g
 
 
 class SignatureError(Exception):
     """Raised when signature verification fails."""
+
+
+def commitment(element: int, e: int, s: int) -> int:
+    """The verifier's Schnorr commitment ``g^s * y^(Q-e) mod P``.
+
+    For ``y`` invertible mod P, ``y^(Q-e) = y^Q * y^(-e)`` and ``y^Q`` is
+    the Legendre symbol of ``y`` (1 or P-1), so the 767-bit exponent
+    becomes a Jacobi-symbol step plus a pow whose exponent is ``e`` (at
+    most 256 bits for a decoded signature).  ``y = 0 mod P`` keeps the
+    plain formula.
+    """
+    if element % P == 0:
+        return pow_g(s) * pow(element, Q - e, P) % P
+    r = pow_g(s) * pow(element, -e, P) % P
+    return r if jacobi(element, P) == 1 else P - r
 
 
 @dataclass(frozen=True)
@@ -30,7 +45,7 @@ class PublicKey:
         """Raise :class:`SignatureError` unless ``signature`` is valid."""
         if not 0 < signature.s < Q:
             raise SignatureError("signature scalar out of range")
-        r = pow(G, signature.s, P) * pow(self.element, Q - signature.e, P) % P
+        r = commitment(self.element, signature.e, signature.s)
         e = hash_to_int(int_to_bytes(r), int_to_bytes(self.element), message)
         if e != signature.e:
             raise SignatureError(f"bad signature for key {self.label!r}")
@@ -77,7 +92,7 @@ class KeyPair:
         k = hash_to_int(self.secret.to_bytes(96, "big"), message, b"nonce")
         if k == 0:
             k = 1
-        r = pow(G, k, P)
+        r = pow_g(k)
         e = hash_to_int(int_to_bytes(r), int_to_bytes(self.public.element), message)
         s = (k + e * self.secret) % Q
         return Signature(e=e, s=s)
@@ -93,5 +108,5 @@ def generate_keypair(seed: bytes, label: str = "") -> KeyPair:
     secret = hash_to_int(hashlib.sha256(seed).digest(), b"keygen")
     if secret == 0:
         secret = 1
-    public = PublicKey(element=pow(G, secret, P), label=label)
+    public = PublicKey(element=pow_g(secret), label=label)
     return KeyPair(secret=secret, public=public)

@@ -21,18 +21,24 @@ _TAG_LEN = 32
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(hashlib.sha256(key + nonce + counter.to_bytes(8, "big")).digest())
-        counter += 1
-    return b"".join(blocks)[:length]
+    prefix = key + nonce
+    blocks = -(-length // 32)  # one SHA-256 digest per 32 bytes
+    return b"".join(
+        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+        for counter in range(blocks)
+    )[:length]
+
+
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR ``stream`` (equal lengths) as one big-int operation."""
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
 
 
 def seal(key: bytes, plaintext: bytes, *, nonce: bytes = b"\x00" * 8) -> bytes:
     """Encrypt-then-MAC ``plaintext`` under ``key``."""
     stream = _keystream(key, nonce, len(plaintext))
-    ciphertext = bytes(a ^ b for a, b in zip(plaintext, stream))
+    ciphertext = _xor(plaintext, stream)
     tag = hmac.new(key, nonce + ciphertext, hashlib.sha256).digest()
     return nonce + ciphertext + tag
 
@@ -46,4 +52,4 @@ def unseal(key: bytes, sealed: bytes) -> bytes:
     if not hmac.compare_digest(expect, tag):
         raise AuthTagError("authentication tag mismatch")
     stream = _keystream(key, nonce, len(body))
-    return bytes(a ^ b for a, b in zip(body, stream))
+    return _xor(body, stream)

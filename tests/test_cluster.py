@@ -4,6 +4,7 @@ cross-node training, node-failure rescheduling."""
 import pytest
 
 from repro.cluster import Cluster, ClusterError, distributed_train
+from repro.crypto import CertificateAuthority
 
 
 class TestClusterMesh:
@@ -38,6 +39,48 @@ class TestClusterMesh:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ClusterError):
             Cluster(num_nodes=0)
+
+    def test_node_failing_verification_stays_expelled(self):
+        """node2 presents its peers a gpu0 endorsement signed by a rogue CA
+        posing as the vendor: both peers reject it, and the mesh must not
+        re-admit node2 afterwards."""
+        cluster = Cluster(num_nodes=3)
+        node2 = cluster.node("node2")
+        honest = node2.device_certs()["gpu0"]
+        rogue = CertificateAuthority(honest.issuer_name, b"rogue-ca-seed")
+        forged = rogue.endorse("gpu0", honest.subject)
+        node2.device_certs = lambda: {"gpu0": forged}
+        assert cluster.attest_mesh() == 3 * 2 - 2
+        assert [n.name for n in cluster.attested_nodes()] == ["node0", "node1"]
+
+    def test_unendorsed_device_expels_its_node(self):
+        """node2's own gpu0 carries a rogue endorsement, so node2 cannot
+        produce a platform report (HalError): node2 is expelled and the rest
+        of the mesh still attests."""
+        cluster = Cluster(num_nodes=3)
+        device = cluster.node("node2").system.platform.device("gpu0")
+        rogue = CertificateAuthority(device.vendor_cert.issuer_name, b"rogue-ca-seed")
+        device.vendor_cert = rogue.endorse("gpu0", device.public_key)
+        # node0 and node1 verify each other; node2 still verifies both.
+        assert cluster.attest_mesh() == 3 * 2 - 2
+        assert [n.name for n in cluster.attested_nodes()] == ["node0", "node1"]
+
+    @pytest.mark.parametrize(
+        "dead, verifications, clocks",
+        [
+            ((), 6, [540400.0, 540400.0, 540400.0]),
+            (("node1",), 2, [540200.0, 540000.0, 540200.0]),
+        ],
+    )
+    def test_honest_mesh_counts_and_clocks_pinned(self, dead, verifications, clocks):
+        """Verification counts and simulated clocks of an honest mesh, as
+        recorded before the expulsion fix; a dead node is not attested."""
+        cluster = Cluster(num_nodes=3)
+        for name in dead:
+            cluster.fail_node(name)
+        assert cluster.attest_mesh() == verifications
+        assert [n.system.clock.now for n in cluster] == clocks
+        assert [n.attested for n in cluster] == [n.name not in dead for n in cluster]
 
 
 class TestClusterMembership:
