@@ -171,7 +171,7 @@ class MigrationManager:
         for session in self.sessions_on(node.name):
             for page in session.pages:
                 audited += 1
-                if any(bytes(memory.page_view(page))):
+                if not memory.page_is_zero(page):
                     self.scrub_violations += 1
         self.scrub_pages_audited += audited
         return audited

@@ -35,7 +35,6 @@ import numpy as np
 from repro.faults import injector as _inj
 from repro.faults.injector import CRASH, CORRUPT, DROP, DUPLICATE, HANG, REORDER, FaultPlan, FaultRule
 from repro.faults.watchdog import Watchdog
-from repro.hw.memory import PAGE_SIZE
 from repro.metrics.report import campaign_matrix, site_hit_table
 from repro.secure.partition import PartitionState
 from repro.secure.spm import RecoveryReport
@@ -384,8 +383,7 @@ def check_invariants(
         for page in grant.pages:
             if spm.owner_of(page) is not None:
                 continue  # recycled into a live allocation since
-            raw = system.platform.memory.read(page * PAGE_SIZE, PAGE_SIZE)
-            if any(raw):
+            if not system.platform.memory.page_is_zero(page):
                 violations.append(
                     f"crashed-partition page {page:#x} readable after teardown"
                 )

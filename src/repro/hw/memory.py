@@ -4,6 +4,12 @@ Pages are allocated lazily (most of the simulated 12 GiB address space is
 never touched).  Every access names the *initiator world* so the TZASC
 filter can reject normal-world reads of secure DRAM — the data-leak path
 the paper's threat model cares about.
+
+``ZERO_PAGE`` is the shared all-zero page every scrub and KV-leak audit
+(paper section IV-D, attack A3) compares a whole page against, so one
+non-zero byte at any offset fails the audit.  Audits go through
+:meth:`PhysicalMemory.page_is_zero`, which applies ``page_view``'s range
+rule: a page outside physical memory raises :class:`AccessFault`.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 PAGE_SIZE = 4096
+ZERO_PAGE = bytes(PAGE_SIZE)
 
 NORMAL_WORLD = "normal"
 SECURE_WORLD = "secure"
@@ -117,9 +124,16 @@ class PhysicalMemory:
             self.metrics.counter("memory", "zeroed_bytes").inc(length)
 
     def page_is_zero(self, page: int) -> bool:
-        """True if the page has never been written or was scrubbed."""
+        """True if the page has never been written or was scrubbed.
+
+        A full-page compare against :data:`ZERO_PAGE`: every byte is
+        examined, and an untouched page is not allocated.  The range rule
+        is :meth:`page_view`'s, so a bogus page number cannot pass an audit.
+        """
+        if page < 0 or (page + 1) * PAGE_SIZE > self.size_bytes:
+            raise AccessFault(f"page out of physical range: {page:#x}")
         chunk = self._pages.get(page)
-        return chunk is None or not any(chunk)
+        return chunk is None or chunk == ZERO_PAGE
 
     # -- helpers ------------------------------------------------------
     def _check(self, addr: int, length: int, world: str) -> None:

@@ -204,6 +204,9 @@ class _TokenStreamer:
         self.generation = 0
         self.tokens_streamed = 0
         self.stream_failures = 0
+        # Refilled per token: ``SRPCChannel.call`` pickles it before
+        # returning, so each record still carries its own value.
+        self._payload = np.empty(self._MAILBOX_SHAPE, dtype=np.float32)
 
     def _ensure(self):
         if self.runtime is None:
@@ -221,9 +224,8 @@ class _TokenStreamer:
         """Stream one token record (async, in-band trace context)."""
         try:
             rt = self._ensure()
-            payload = np.full(
-                self._MAILBOX_SHAPE, float(index % 65536 + 1), dtype=np.float32
-            )
+            payload = self._payload
+            payload.fill(index % 65536 + 1)
             rt.gpu_channel.call(
                 "cudaMemcpyH2D", self._mailbox, payload, stream=TOKEN_STREAM
             )
@@ -322,7 +324,7 @@ class LLMReport:
                     f"{rid}: reprefills {reprefills} != prefills-1 {prefills - 1}"
                 )
         if self.scrub_violations:
-            out.append(f"{self.scrub_violations} unscrubbed KV bytes after crash")
+            out.append(f"{self.scrub_violations} unscrubbed KV pages after crash")
         if self.kv_leaks:
             out.append(f"{self.kv_leaks} cross-sequence KV leaks")
         return out
@@ -610,7 +612,7 @@ class LLMEngine:
         # every KV page the victims held must already read as zeros.
         memory = self.system.platform.memory
         for page in victim_pages:
-            if any(bytes(memory.page_view(page))):
+            if not memory.page_is_zero(page):
                 self.scrub_violations += 1
         if cache is not None:
             cache.ensure_generation()

@@ -50,6 +50,14 @@ class TestPhysicalMemory:
     def test_page_is_zero_for_untouched_page(self):
         assert PhysicalMemory(MEM_SIZE).page_is_zero(3)
 
+    def test_page_is_zero_rejects_out_of_range_page(self):
+        # An audit handed a bogus page number must fail, not pass.
+        mem = PhysicalMemory(MEM_SIZE)
+        for page in (-1, MEM_SIZE // PAGE_SIZE, 10**9):
+            with pytest.raises(AccessFault):
+                mem.page_is_zero(page)
+        assert mem.page_is_zero(MEM_SIZE // PAGE_SIZE - 1)
+
     @given(
         st.integers(min_value=0, max_value=MEM_SIZE - 512),
         st.binary(min_size=1, max_size=512),
