@@ -54,6 +54,7 @@ except ImportError:  # standalone invocation does not need pytest
     pytest = None
 
 from repro.cluster import Cluster, ClusterServingSystem
+from repro.obs import enable
 from repro.obs.export import annotate_chrome_trace, validate_chrome_trace
 from repro.obs.telemetry import TelemetryPipeline
 from repro.serve.admission import Request
@@ -147,8 +148,7 @@ def run_overhead(specs, requests, *, repeats, ceiling, log):
         serving = build_cluster_serving()
         serving.add_tenants(specs)
         for node in serving.cluster:
-            node.system.platform.obs.enabled = True
-            node.system.platform.metrics.enabled = True
+            enable(node.system)
         return serving
 
     def build_pipeline():

@@ -129,7 +129,7 @@ def bench_srpc(min_seconds: float) -> Tuple[float, Dict[str, Dict[str, int]]]:
             "slow_accesses": cpu.slow_accesses,
         },
         cpu.stage2.name: cpu.stage2.tlb_stats,
-        "ring": channel._ring.stats,
+        "ring": channel.stream(0).ring.stats,
     }
     return ops, counters
 

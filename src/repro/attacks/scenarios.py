@@ -237,7 +237,7 @@ def attempt_srpc_eavesdrop(system: CronusSystem) -> AttackOutcome:
     caller = app.create_enclave(_cpu_manifest(image), image, "victim.so")
     callee = app.create_enclave(_cpu_manifest(image), image, "victim.so")
     channel = app.open_channel(caller, callee)
-    ring_page = channel._smem_pages()[0]
+    ring_page = channel.stream(0).smem_pages()[0]
     try:
         system.platform.memory.read(ring_page * PAGE_SIZE, 64, world="normal")
     except AccessFault as exc:
@@ -338,7 +338,7 @@ def attempt_crashed_info_leak(system: CronusSystem) -> AttackOutcome:
     buf = channel.call("cudaMalloc", (256,))
     channel.call("cudaMemcpyH2D", buf, secret_data)
     channel.call("cudaDeviceSynchronize")
-    ring_pages = channel._grant.pages
+    ring_pages = channel.stream(0).grant.pages
     gpu_device = system.platform.device("gpu0")
     system.fail_partition("gpu0")
     # The malicious restarted partition scavenges:

@@ -36,13 +36,6 @@ class ImageRegistry:
             raise ImageError(f"image {image_id!r} needs at least one replica")
         self._replicas[image_id] = node_set
 
-    def replicate(self, image_id: str, node: str) -> None:
-        """Add one replica (idempotent)."""
-        try:
-            self._replicas[image_id].add(node)
-        except KeyError:
-            raise ImageError(f"no image {image_id!r} registered") from None
-
     def drop_node(self, node: str) -> None:
         """A node died: remove it from every replica set.  Sets may drain
         to empty — the image becomes unroutable, which the router surfaces

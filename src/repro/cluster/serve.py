@@ -217,16 +217,13 @@ class ClusterServingSystem:
         images: Optional[ImageRegistry] = None,
         steal_threshold: int = 64,
         migration: bool = True,
-        attest: bool = True,
         telemetry: Optional[object] = None,
     ) -> None:
         self.cluster = cluster
         self.telemetry = telemetry
-        if attest:
-            alive = [n for n in cluster if n.alive]
-            if not all(n.attested for n in alive):
-                cluster.attest_mesh()
-        members = cluster.attested_nodes() if attest else [n for n in cluster if n.alive]
+        if not all(n.attested for n in cluster if n.alive):
+            cluster.attest_mesh()
+        members = cluster.attested_nodes()
         if not members:
             raise ClusterError("no attested alive nodes to serve on")
         self.images = images if images is not None else ImageRegistry()
@@ -493,14 +490,14 @@ class ClusterServingSystem:
             ns.serving.flush_due(now)
 
     # -- reporting ---------------------------------------------------------
-    def cluster_metrics(self, into=None):
+    def cluster_metrics(self):
         """Merge every node's instruments into one registry, each layer
         prefixed ``node=<name>:`` so same-named per-node instruments
         (``part-gpu0``, ``spm``, ``tracer`` …) never collide."""
         from repro.obs import collect_system_metrics
         from repro.obs.metric import MetricsRegistry
 
-        registry = into if into is not None else MetricsRegistry(enabled=True)
+        registry = MetricsRegistry(enabled=True)
         for name, ns in self._states.items():
             collect_system_metrics(ns.node.system, node=name, into=registry)
         return registry

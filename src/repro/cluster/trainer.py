@@ -9,13 +9,14 @@ single-machine resubmission story.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster, ClusterError, ClusterNode
 from repro.workloads.datasets import synthetic_mnist
+from repro.workloads.distributed import GRADIENT_SCALE
 from repro.workloads.dnn import TRAINING_KERNELS, lenet
 
 
@@ -54,7 +55,6 @@ def distributed_train(
     total_samples: int = 128,
     batch_size: int = 16,
     lr: float = 0.05,
-    gradient_scale: float = 160.0,
     fail_node_at_step: Optional[int] = None,
 ) -> DistributedResult:
     """Train LeNet data-parallel across ``nodes`` machines of ``cluster``.
@@ -98,7 +98,7 @@ def distributed_train(
             )
         # Encrypted ring all-reduce over the network.
         grads = [r.gradients() for r in live]
-        gradient_bytes = int(sum(g.nbytes for g in grads[0]) * gradient_scale)
+        gradient_bytes = int(sum(g.nbytes for g in grads[0]) * GRADIENT_SCALE)
         comm = cluster.allreduce_time_us(gradient_bytes, len(live))
         for buffers in zip(*grads):
             mean = np.mean([b for b in buffers], axis=0)

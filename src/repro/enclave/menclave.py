@@ -78,9 +78,6 @@ class MEnclave:
         """dCheck helper: prove possession of secret_dhke over a channel."""
         return mac(self._secret_dhke, b"dcheck" + challenge)
 
-    def secret_matches(self, response: bytes, challenge: bytes) -> bool:
-        return mac_valid(self._secret_dhke, b"dcheck" + challenge, response)
-
     # -- mECall paths ---------------------------------------------------------
     def mecall_untrusted(
         self,

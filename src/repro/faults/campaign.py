@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,6 +143,14 @@ def generate_plans(master_seed: int = 0, count: int = 10) -> List[FaultPlan]:
 
 
 # -- the figure-9 workload under injection ----------------------------------
+MATRIX_SIZE = 8
+"""Side of each task's square matmul operands."""
+WATCHDOG_EVERY = 3
+"""The watchdog samples once every this many workload steps."""
+WATCHDOG_INTERVAL_US = 50_000.0
+"""The watchdog's heartbeat interval."""
+
+
 def make_figure9_system(*, num_gpus: int = 2, trace: bool = False, obs: bool = False):
     """The figure-9 testbed: a fresh two-GPU :class:`CronusSystem` with the
     CUDA kernel library registered.
@@ -251,29 +259,23 @@ class FailoverWorkload:
         *,
         steps: int = 10,
         settle_steps: int = 6,
-        matrix_size: int = 8,
-        watchdog_every: int = 3,
-        watchdog_interval_us: float = 50_000.0,
     ) -> None:
         self.steps = steps
         self.settle_steps = settle_steps
-        self.matrix_size = matrix_size
-        self.watchdog_every = watchdog_every
-        self.watchdog_interval_us = watchdog_interval_us
 
     def run(self, system, plan: FaultPlan, injector, report: WorkloadReport,
             ready_at: Dict[str, float]) -> List[_MatmulTask]:
         tasks = [
-            _MatmulTask("task-a", "gpu0", self.matrix_size, plan.seed ^ 0xA),
-            _MatmulTask("task-b", "gpu1", self.matrix_size, plan.seed ^ 0xB),
+            _MatmulTask("task-a", "gpu0", MATRIX_SIZE, plan.seed ^ 0xA),
+            _MatmulTask("task-b", "gpu1", MATRIX_SIZE, plan.seed ^ 0xB),
         ]
-        watchdog = Watchdog(system, interval_us=self.watchdog_interval_us)
+        watchdog = Watchdog(system, interval_us=WATCHDOG_INTERVAL_US)
         watchdog.observe()  # baseline sample
         for step in range(self.steps + self.settle_steps):
             for mos in system.moses.values():
                 mos.tick()
             settle = step >= self.steps
-            if settle or step % self.watchdog_every == self.watchdog_every - 1:
+            if settle or step % WATCHDOG_EVERY == WATCHDOG_EVERY - 1:
                 self._observe(watchdog, system, injector, report, ready_at, tasks)
             for task in tasks:
                 self._step_task(task, system, report, ready_at)
@@ -478,14 +480,11 @@ class CampaignResult:
 
 
 def run_plan(
-    plan: FaultPlan,
-    *,
-    workload: Optional[FailoverWorkload] = None,
-    system_factory: Optional[Callable[[], object]] = None,
+    plan: FaultPlan, *, workload: Optional[FailoverWorkload] = None
 ) -> PlanResult:
-    """Execute one plan on a fresh system and check every invariant."""
+    """Execute one plan on a fresh figure-9 system and check every invariant."""
     workload = workload or FailoverWorkload()
-    system = (system_factory or make_figure9_system)()
+    system = make_figure9_system()
     report = WorkloadReport()
     ready_at: Dict[str, float] = {}
 

@@ -20,6 +20,9 @@ from repro.rpc.channel import SRPCPeerFailure
 from repro.systems.cronus import CronusSystem
 from repro.systems.testbed import TestbedConfig
 
+MATRIX_SIZE = 48
+"""Side of each task's square matmul operands."""
+
 
 @dataclass
 class FailoverTask:
@@ -116,11 +119,6 @@ class FailoverResult:
     detection_us: float = 0.0
     """Extra latency before recovery started (watchdog detection)."""
 
-    def total_timeline(self) -> List[int]:
-        names = list(self.throughput)
-        buckets = len(self.throughput[names[0]])
-        return [sum(self.throughput[n][b] for n in names) for b in range(buckets)]
-
 
 def _bucketize(completions: List[float], start: float, bucket_us: float, buckets: int) -> List[int]:
     counts = [0] * buckets
@@ -136,7 +134,6 @@ def run_failover_experiment(
     duration_us: float = 3_000_000.0,
     crash_at_us: float = 1_000_000.0,
     bucket_us: float = 100_000.0,
-    matrix_size: int = 48,
     sim_scale: float = 40_000.0,
     detection: str = "panic",
     system: Optional[CronusSystem] = None,
@@ -151,8 +148,8 @@ def run_failover_experiment(
     if detection not in ("panic", "watchdog"):
         raise ValueError(f"unknown detection mode {detection!r}")
     system = system or CronusSystem(TestbedConfig(num_gpus=2))
-    task_a = FailoverTask("task-a", "gpu0", matrix_size, sim_scale)
-    task_b = FailoverTask("task-b", "gpu1", matrix_size, sim_scale * 0.6)
+    task_a = FailoverTask("task-a", "gpu0", MATRIX_SIZE, sim_scale)
+    task_b = FailoverTask("task-b", "gpu1", MATRIX_SIZE, sim_scale * 0.6)
     task_a.start(system)
     task_b.start(system)
 

@@ -41,10 +41,6 @@ class PhysicalMemory:
         # unless the registry is enabled).
         self.metrics = None
 
-    def attach_tzasc(self, tzasc: "TZASCLike") -> None:
-        """Install the TZASC filter (done once during platform bring-up)."""
-        self._tzasc = tzasc
-
     # -- access -------------------------------------------------------
     def read(self, addr: int, length: int, *, world: str = SECURE_WORLD) -> bytes:
         """Read ``length`` bytes at ``addr`` as ``world``."""
@@ -64,35 +60,6 @@ class PhysicalMemory:
             chunk = self._pages.setdefault(page, bytearray(PAGE_SIZE))
             chunk[start:end] = data[cursor : cursor + (end - start)]
             cursor += end - start
-
-    # -- single-page fast lane ----------------------------------------------
-    # The overwhelmingly common accesses in the sRPC hot path are small
-    # (header u64s, length prefixes, short records) and never cross a page
-    # boundary, so they can skip the per-span generator and intermediate
-    # ``bytearray`` assembly.  World checks are identical to the slow path.
-    def read_single(self, addr: int, length: int, *, world: str = SECURE_WORLD) -> bytes:
-        """Read a range known to lie within one physical page."""
-        self._check(addr, length, world)
-        page, start = divmod(addr, PAGE_SIZE)
-        if start + length > PAGE_SIZE:
-            return self.read(addr, length, world=world)
-        chunk = self._pages.get(page)
-        if chunk is None:
-            return b"\x00" * length
-        return bytes(memoryview(chunk)[start : start + length])
-
-    def write_single(self, addr: int, data: bytes, *, world: str = SECURE_WORLD) -> None:
-        """Write a range known to lie within one physical page."""
-        length = len(data)
-        self._check(addr, length, world)
-        page, start = divmod(addr, PAGE_SIZE)
-        if start + length > PAGE_SIZE:
-            self.write(addr, data, world=world)
-            return
-        chunk = self._pages.get(page)
-        if chunk is None:
-            chunk = self._pages[page] = bytearray(PAGE_SIZE)
-        chunk[start : start + length] = data
 
     def page_view(self, page: int) -> bytearray:
         """The backing ``bytearray`` of one physical page (lazily allocated).

@@ -23,7 +23,6 @@ from repro.obs.export import (
     alert_annotations,
     annotate_chrome_trace,
     chrome_trace,
-    fleet_counter_track,
     recovery_phases,
     validate_chrome_trace,
     write_chrome_trace,
@@ -69,7 +68,6 @@ __all__ = [
     "chrome_trace",
     "annotate_chrome_trace",
     "alert_annotations",
-    "fleet_counter_track",
     "write_chrome_trace",
     "validate_chrome_trace",
     "recovery_phases",

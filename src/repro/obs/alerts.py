@@ -200,9 +200,6 @@ class AlertEngine:
         # that appeared since its last evaluation.
         self._match_cache: Dict[str, Tuple[int, List[Tuple[str, str]]]] = {}
 
-    def add_rule(self, rule: AlertRule) -> None:
-        self.rules.append(rule)
-
     # -- out-of-band signals -------------------------------------------------
     def node_killed(
         self, t_us: float, node: str, *, recovery_trace: Optional[dict] = None

@@ -86,45 +86,6 @@ def chrome_trace(recorder, *, trace_id: Optional[int] = None) -> Dict[str, objec
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def fleet_counter_track(
-    scaling_events,
-    initial_live,
-    *,
-    pid: int = 0,
-    name: str = "fleet.live",
-) -> List[Dict[str, object]]:
-    """Render a serving run's fleet trajectory as Chrome counter events.
-
-    ``scaling_events`` is :attr:`repro.serve.frontend.ServingReport.scaling_events`
-    and ``initial_live`` its ``initial_live`` tuple.  Produces one
-    ``"ph": "C"`` event per fleet-size change (Perfetto draws these as a
-    stepped counter track), starting from the initial live count at t=0.
-    Only completions move the counter: ``up`` (+1) and ``park`` (-1);
-    ``boot``/``retire`` decisions are in-flight and don't change capacity.
-    """
-    live = len(initial_live)
-    events: List[Dict[str, object]] = [
-        {
-            "name": name, "ph": "C", "pid": pid, "tid": 0,
-            "ts": 0.0, "args": {"live": live},
-        }
-    ]
-    for ts, action, _device in scaling_events:
-        if action == "up":
-            live += 1
-        elif action == "park":
-            live -= 1
-        else:
-            continue
-        events.append(
-            {
-                "name": name, "ph": "C", "pid": pid, "tid": 0,
-                "ts": round(ts, 3), "args": {"live": live},
-            }
-        )
-    return events
-
-
 def annotate_chrome_trace(data: Mapping[str, object], alerts) -> Dict[str, object]:
     """Annotate an exported trace with fired alerts as Chrome instant
     events (``"ph": "i"``, global scope) at the alert's virtual

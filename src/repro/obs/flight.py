@@ -15,12 +15,16 @@ from collections import deque
 from typing import Deque, Tuple
 
 
+FLIGHT_CAPACITY = 64
+"""Closed spans each span recorder's flight ring keeps."""
+
+
 class FlightRecorder:
     """Keeps the last ``capacity`` closed spans, oldest evicted first."""
 
     __slots__ = ("capacity", "_ring", "pushed")
 
-    def __init__(self, capacity: int = 64) -> None:
+    def __init__(self, capacity: int = FLIGHT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"flight recorder capacity must be positive, got {capacity}")
         self.capacity = capacity

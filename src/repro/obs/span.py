@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import FLIGHT_CAPACITY, FlightRecorder
 
 
 class SpanContext:
@@ -134,7 +134,6 @@ class SpanRecorder:
         *,
         enabled: bool = False,
         capacity: int = 250_000,
-        flight_capacity: int = 64,
     ) -> None:
         self._clock = clock
         self.enabled = enabled
@@ -145,7 +144,7 @@ class SpanRecorder:
         self._next_span = 1
         self._seq = 0
         self.dropped = 0
-        self.flight = FlightRecorder(flight_capacity)
+        self.flight = FlightRecorder(FLIGHT_CAPACITY)
         self._partition_last: Dict[str, SpanContext] = {}
         self.flight_dumps: List[Tuple[float, str, str, Tuple[Span, ...]]] = []
         # Tail-sampling support: a per-trace index so a sampler can size
@@ -385,12 +384,6 @@ class SpanRecorder:
         if name is not None:
             out = [s for s in out if s.name == name]
         return tuple(out)
-
-    def span_by_id(self, span_id: int) -> Optional[Span]:
-        for span in self._live():
-            if span.context.span_id == span_id:
-                return span
-        return None
 
     def trace_ids(self) -> Tuple[int, ...]:
         seen: List[int] = []

@@ -41,6 +41,9 @@ from repro.obs.timeseries import TimeSeriesStore
 
 _SLO_FIELDS = ("offered", "completed", "rejected", "expired", "p99_us")
 
+TRACE_BYTE_BUDGET = 512 * 1024
+"""Bytes of retained traces each attached system's tail sampler may hold."""
+
 
 class _OrphanSpan:
     """A span proxy re-rooted at its trace: used when a captured slice
@@ -108,15 +111,13 @@ class TelemetrySource:
         tenant: Optional[str] = None,
     ) -> None:
         """A request's trace completed: tail-sample it."""
-        if self.sampler is not None:
-            self.sampler.observe(
-                trace_id, latency_us=latency_us, outcome=outcome, tenant=tenant
-            )
+        self.sampler.observe(
+            trace_id, latency_us=latency_us, outcome=outcome, tenant=tenant
+        )
 
     def note_recovery(self, trace_id: Optional[int]) -> None:
         """This trace crossed a crash recovery: always retain it."""
-        if self.sampler is not None:
-            self.sampler.note_recovery(trace_id)
+        self.sampler.note_recovery(trace_id)
 
 
 class TelemetryPipeline:
@@ -131,7 +132,6 @@ class TelemetryPipeline:
         p99_slo_us: float = 200_000.0,
         rejection_ratio: float = 0.5,
         slow_trace_us: Optional[float] = None,
-        trace_byte_budget: int = 512 * 1024,
     ) -> None:
         if scrape_interval_us <= 0:
             raise ValueError(f"scrape_interval_us must be positive, got {scrape_interval_us}")
@@ -149,7 +149,6 @@ class TelemetryPipeline:
         self.slow_trace_us = float(
             slow_trace_us if slow_trace_us is not None else p99_slo_us
         )
-        self.trace_byte_budget = int(trace_byte_budget)
         self.sources: List[TelemetrySource] = []
         self._extras: List[Callable[[], Dict[str, float]]] = []
         self._by_node: Dict[str, TelemetrySource] = {}
@@ -165,32 +164,27 @@ class TelemetryPipeline:
         slo=None,
         node: Optional[str] = None,
         extra: Optional[Callable[[], Dict[str, float]]] = None,
-        sample: bool = True,
     ) -> TelemetrySource:
         """Attach one CRONUS system (optionally labelled ``node=<id>``):
         enables its spans + metrics and pairs it with a tail sampler.
         ``extra`` is a callable returning cumulative counters scraped
         alongside the registry (e.g. an engine's scrub-violation count).
         """
+        from repro.obs import enable
+
+        enable(system)
         platform = system.platform
-        platform.obs.enabled = True
-        platform.metrics.enabled = True
-        sampler = (
-            TailSampler(
-                platform.obs,
-                slow_us=self.slow_trace_us,
-                byte_budget=self.trace_byte_budget,
-            )
-            if sample
-            else None
-        )
         source = TelemetrySource(
             node=node,
             system=system,
             registry=platform.metrics,
             recorder=platform.obs,
             slo=slo,
-            sampler=sampler,
+            sampler=TailSampler(
+                platform.obs,
+                slow_us=self.slow_trace_us,
+                byte_budget=TRACE_BYTE_BUDGET,
+            ),
             extra=extra,
         )
         self.sources.append(source)
@@ -255,9 +249,8 @@ class TelemetryPipeline:
                     if span.end_us is not None
                 ]
                 trace = chrome_trace(_TraceSlice(spans))
-                if source.sampler is not None:
-                    for tid in trace_ids:
-                        source.sampler.note_recovery(tid)
+                for tid in trace_ids:
+                    source.sampler.note_recovery(tid)
         self.alerts.node_killed(t_us, node, recovery_trace=trace)
 
     def _exemplars(self, rule, labels) -> Tuple[int, ...]:
@@ -271,8 +264,6 @@ class TelemetryPipeline:
         sources = [node_source] if node_source is not None else self.sources
         out: List[int] = []
         for source in sources:
-            if source.sampler is None:
-                continue
             if tenant is not None:
                 out.extend(source.sampler.tenant_exemplars(tenant))
             else:
@@ -295,8 +286,6 @@ class TelemetryPipeline:
         """Merged tail-sampler counters across every attached source."""
         totals: Dict[str, int] = {}
         for source in self.sources:
-            if source.sampler is None:
-                continue
             for key, value in source.sampler.stats().items():
                 if key == "byte_budget":
                     totals[key] = max(totals.get(key, 0), value)

@@ -549,23 +549,3 @@ class SRPCChannel:
         if self._failed_peer is None:
             for s in self._streams.values():
                 s.release()
-
-    # -- backward-compatible single-stream accessors -------------------------
-    @property
-    def _ring(self) -> SharedRingBuffer:
-        return self._streams[0].ring
-
-    @property
-    def _grant(self):
-        return self._streams[0].grant
-
-    @property
-    def _mailbox_base(self) -> int:
-        return self._streams[0].mailbox_base
-
-    @property
-    def _consumer(self) -> Timeline:
-        return self._streams[0].consumer
-
-    def _smem_pages(self) -> Tuple[int, ...]:
-        return self._streams[0].smem_pages()

@@ -18,7 +18,7 @@ the proceed-trap failure recovery protocol of paper section IV-D:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults import injector as _faults
@@ -78,7 +78,6 @@ class SPM:
         self._platform = platform
         self._monitor = monitor
         self._partitions: Dict[str, Partition] = {}
-        self._by_id: Dict[int, Partition] = {}
         self._next_id = 1
         secure_range = platform.secure_page_range()
         self._bump = secure_range.start
@@ -101,7 +100,6 @@ class SPM:
         partition = Partition(self._next_id, name, device, self._platform.memory, self)
         self._platform.tracer.emit("spm", "create-partition", name)
         self._partitions[name] = partition
-        self._by_id[self._next_id] = partition
         self._next_id += 1
         self._heartbeats[name] = 0
         return partition
@@ -111,12 +109,6 @@ class SPM:
             return self._partitions[name]
         except KeyError:
             raise SPMError(f"no partition named {name!r}") from None
-
-    def partition_by_id(self, partition_id: int) -> Partition:
-        try:
-            return self._by_id[partition_id]
-        except KeyError:
-            raise SPMError(f"no partition with id {partition_id}") from None
 
     def partitions(self) -> List[Partition]:
         return list(self._partitions.values())

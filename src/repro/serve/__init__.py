@@ -79,12 +79,11 @@ from repro.serve.llm import (
 from repro.serve.loadgen import (
     LoadProfile,
     generate_trace,
-    iter_trace_chunks,
     synthetic_service_model,
     tenant_specs,
     zipf_weights,
 )
-from repro.serve.placement import PlacementError, SpatialPlacer
+from repro.serve.placement import SpatialPlacer
 from repro.serve.slo import SLOAccount, SLOTracker
 from repro.serve.tenants import Tenant, TenantError, TenantRegistry, TenantSpec
 
@@ -109,7 +108,6 @@ __all__ = [
     "SequenceState",
     "SlidingWindow",
     "WindowSnapshot",
-    "PlacementError",
     "REJECT_NO_PARTITION",
     "REJECT_QUEUE_FULL",
     "REJECT_QUOTA",
@@ -126,7 +124,6 @@ __all__ = [
     "TenantRegistry",
     "TenantSpec",
     "generate_trace",
-    "iter_trace_chunks",
     "llm_arrivals",
     "open_loop_arrivals",
     "synthetic_service_model",

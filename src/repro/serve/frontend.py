@@ -297,7 +297,7 @@ class ServingSystem:
         self.registry = TenantRegistry()
         self.admission = AdmissionController(self.registry)
         self.batcher = DeadlineBatcher(max_batch=max_batch, max_delay_us=max_delay_us)
-        self.placer = SpatialPlacer(system.dispatcher, incremental=True)
+        self.placer = SpatialPlacer(system.dispatcher)
         self.slo = SLOTracker()
         self._workers: Dict[str, object] = {}
         self._free_at: Dict[str, float] = {}

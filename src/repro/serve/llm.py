@@ -340,7 +340,6 @@ class LLMEngine:
         config: Optional[LLMConfig] = None,
         max_running: int = 8,
         mode: str = MODE_CONTINUOUS,
-        stream_tokens: bool = True,
         kernels: Tuple[str, ...] = ("matmul",),
         telemetry: Optional[object] = None,
     ) -> None:
@@ -348,11 +347,10 @@ class LLMEngine:
         self.config = config if config is not None else LLMConfig()
         self.cost = LLMCostModel(system.platform.costs, self.config)
         self.kernels = kernels
-        self.stream_tokens = stream_tokens
         self.registry = TenantRegistry()
         self.admission = AdmissionController(self.registry)
         self.batcher = ContinuousBatcher(max_running=max_running, mode=mode)
-        self.placer = SpatialPlacer(system.dispatcher, incremental=True)
+        self.placer = SpatialPlacer(system.dispatcher)
         self.slo = SLOTracker()
         self._caches: Dict[str, PagedKVCache] = {}
         self._streamers: Dict[str, _TokenStreamer] = {}
@@ -535,7 +533,7 @@ class LLMEngine:
         self.iterations += 1
         cache = self._cache(device)
         now = self._now
-        streamer = self._streamer(device) if self.stream_tokens else None
+        streamer = self._streamer(device)
         for sequence in self.batcher.running(device):
             request = sequence.request
             index = cache.append_token(request.rid)
@@ -544,8 +542,7 @@ class LLMEngine:
             )
             sequence.tokens_emitted += 1
             sequence.last_token_us = now
-            if streamer is not None:
-                streamer.stream_token(request.rid, index)
+            streamer.stream_token(request.rid, index)
             if sequence.tokens_emitted >= request.max_new_tokens:
                 self._finish_sequence(device, cache, streamer, sequence, now)
         self.placer.mark_dirty(device)
@@ -555,7 +552,7 @@ class LLMEngine:
         self,
         device: str,
         cache: PagedKVCache,
-        streamer: Optional[_TokenStreamer],
+        streamer: _TokenStreamer,
         sequence: SequenceState,
         now: float,
     ) -> None:
@@ -564,8 +561,7 @@ class LLMEngine:
         sequence.finish_us = now
         self.batcher.finish(device, sequence)
         cache.release(request.rid)
-        if streamer is not None:
-            streamer.flush()
+        streamer.flush()
         self._completed[request.rid] = now
         self.slo.record_completed(request, now)
         self.slo.record_sequence_finished(request)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -224,16 +224,6 @@ def generate_trace(profile: LoadProfile) -> Tuple[List[TenantSpec], List[Request
             )
         )
     return specs, requests
-
-
-def iter_trace_chunks(
-    profile: LoadProfile, chunk: int = 100_000
-) -> Iterator[List[Request]]:
-    """Yield the trace in arrival-ordered chunks (memory-bounded callers)."""
-    specs, requests = generate_trace(profile)
-    del specs
-    for start in range(0, len(requests), chunk):
-        yield requests[start:start + chunk]
 
 
 def synthetic_service_model(

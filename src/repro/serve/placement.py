@@ -12,14 +12,15 @@ scoring but still respect readiness.
 Host-speed design: the context and reserved-bytes score terms come from
 attribute chains deep in the mEnclave stack, and they only change when the
 serving layer *does something* to the partition — executes a batch on it,
-crashes it, or recovers it.  In ``incremental`` mode (how the
-:class:`~repro.serve.frontend.ServingSystem` constructs its placer) those
-terms are cached per device and recomputed only for devices in the dirty
-set (``mark_dirty``), so a placement is a running-min pass over cached
-floats plus one O(1) queue-depth lookup per candidate, instead of
-rescoring every partition through the attribute chains and sorting the
-result.  The floating-point evaluation order of the score is kept exactly
-as the full recompute's, so incremental and full scoring are bit-equal.
+crashes it, or recovers it.  Scoring is always incremental: those terms
+are cached per device and recomputed only for devices in the dirty set
+(``mark_dirty``), so a placement is a running-min pass over cached floats
+plus one O(1) queue-depth lookup per candidate, instead of rescoring every
+partition through the attribute chains and sorting the result.  The
+floating-point evaluation order of the score is kept exactly as the full
+recompute's (``score``/``scores``, and the frozen scan placer in
+:mod:`repro.serve.legacy`), so incremental and full scoring are bit-equal;
+``audit_parity`` checks it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 from repro.dispatch.dispatcher import DispatchError, EnclaveDispatcher, NoReadyPartition
 from repro.secure.partition import PartitionState
 
-
-class PlacementError(DispatchError):
-    """No partition can host the request (and none will after recovery)."""
+WEIGHT_CONTEXTS = 1.0
+"""Score per live context sharing the device."""
+WEIGHT_QUEUE = 0.25
+"""Score per request already queued on the device."""
+WEIGHT_RESERVED_PER_GIB = 0.5
+"""Score per GiB the device's mOS has reserved."""
 
 
 @dataclass(frozen=True)
@@ -52,21 +56,9 @@ DepthSource = Union[Mapping[str, int], Callable[[str], int]]
 class SpatialPlacer:
     """Scores partitions by live contexts, queue depth and reserved bytes."""
 
-    def __init__(
-        self,
-        dispatcher: EnclaveDispatcher,
-        *,
-        weight_contexts: float = 1.0,
-        weight_queue: float = 0.25,
-        weight_reserved_per_gib: float = 0.5,
-        incremental: bool = False,
-    ) -> None:
+    def __init__(self, dispatcher: EnclaveDispatcher) -> None:
         self._dispatcher = dispatcher
-        self.weight_contexts = weight_contexts
-        self.weight_queue = weight_queue
-        self.weight_reserved_per_gib = weight_reserved_per_gib
         self.placements = 0
-        self._incremental = incremental
         self._registered = -1
         """Dispatcher registration count the candidate index was built at."""
         self._by_type: Dict[str, List[object]] = {}
@@ -129,7 +121,6 @@ class SpatialPlacer:
         else:
             depth_of = lambda name: queue_depths.get(name, 0)  # noqa: E731
         problems: List[str] = []
-        weight_queue = self.weight_queue
         for name in sorted(self._cached):
             if name in self._dirty:
                 continue
@@ -137,24 +128,14 @@ class SpatialPlacer:
             if mos is None:
                 problems.append(f"{name}: cached terms for an unknown device")
                 continue
-            device = mos.partition.device
-            contexts = (
-                device.active_contexts() if hasattr(device, "active_contexts") else 0
-            )
-            reserved = mos.manager.reserved_bytes
-            fresh = (
-                self.weight_contexts * contexts,
-                self.weight_reserved_per_gib * (reserved / float(1 << 30)),
-                contexts,
-                reserved,
-            )
+            fresh = _fresh_terms(mos)
             cached = self._cached[name]
             if cached != fresh:
                 problems.append(f"{name}: cached terms {cached!r} != fresh {fresh!r}")
                 continue
             depth = depth_of(name)
-            cached_score = (cached[0] + weight_queue * depth) + cached[1]
-            fresh_score = (fresh[0] + weight_queue * depth) + fresh[1]
+            cached_score = (cached[0] + WEIGHT_QUEUE * depth) + cached[1]
+            fresh_score = (fresh[0] + WEIGHT_QUEUE * depth) + fresh[1]
             if cached_score != fresh_score:
                 problems.append(
                     f"{name}: incremental score {cached_score!r} != "
@@ -165,18 +146,8 @@ class SpatialPlacer:
     def _terms(self, mos) -> Tuple[float, float, int, int]:
         """The cached (contexts_term, reserved_term) pair for one device."""
         name = mos.partition.device.name
-        if not self._incremental or name in self._dirty or name not in self._cached:
-            device = mos.partition.device
-            contexts = (
-                device.active_contexts() if hasattr(device, "active_contexts") else 0
-            )
-            reserved = mos.manager.reserved_bytes
-            self._cached[name] = (
-                self.weight_contexts * contexts,
-                self.weight_reserved_per_gib * (reserved / float(1 << 30)),
-                contexts,
-                reserved,
-            )
+        if name in self._dirty or name not in self._cached:
+            self._cached[name] = _fresh_terms(mos)
             self._dirty.discard(name)
         return self._cached[name]
 
@@ -186,9 +157,9 @@ class SpatialPlacer:
         contexts = device.active_contexts() if hasattr(device, "active_contexts") else 0
         reserved = mos.manager.reserved_bytes
         value = (
-            self.weight_contexts * contexts
-            + self.weight_queue * queue_depth
-            + self.weight_reserved_per_gib * (reserved / float(1 << 30))
+            WEIGHT_CONTEXTS * contexts
+            + WEIGHT_QUEUE * queue_depth
+            + WEIGHT_RESERVED_PER_GIB * (reserved / float(1 << 30))
         )
         return PartitionScore(
             device_name=device.name,
@@ -257,7 +228,7 @@ class SpatialPlacer:
         best = None
         best_score = 0.0
         n_candidates = 0
-        weight_queue = self.weight_queue
+        weight_queue = WEIGHT_QUEUE
         for mos in candidates:
             n_candidates += 1
             if mos.partition.state is not PartitionState.READY:
@@ -283,3 +254,17 @@ class SpatialPlacer:
             )
         self.placements += 1
         return best
+
+
+def _fresh_terms(mos) -> Tuple[float, float, int, int]:
+    """(contexts_term, reserved_term, contexts, reserved) recomputed
+    through the mEnclave attribute chains."""
+    device = mos.partition.device
+    contexts = device.active_contexts() if hasattr(device, "active_contexts") else 0
+    reserved = mos.manager.reserved_bytes
+    return (
+        WEIGHT_CONTEXTS * contexts,
+        WEIGHT_RESERVED_PER_GIB * (reserved / float(1 << 30)),
+        contexts,
+        reserved,
+    )

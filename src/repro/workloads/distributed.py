@@ -21,15 +21,20 @@ GPU, overlapped across links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.sim import CostModel
 from repro.workloads.datasets import Dataset, synthetic_mnist
-from repro.workloads.dnn import Model, TRAINING_KERNELS, lenet
+from repro.workloads.dnn import TRAINING_KERNELS, lenet
 
 MODES = ("p2p", "secure-staging", "encrypted")
+
+GRADIENT_SCALE = 160.0
+"""Carries the analog LeNet's tiny gradient volume (~400 parameters) to
+the real model's (~60K), the same treatment ``sim_scale`` gives compute.
+Shared with :func:`repro.cluster.trainer.distributed_train`."""
 
 
 def comm_time_us(costs: CostModel, gradient_bytes: int, gpus: int, mode: str) -> float:
@@ -61,22 +66,16 @@ class DataParallelResult:
     final_loss: float
 
 
-def _allreduce(
-    runtimes, models, costs: CostModel, mode: str, gradient_scale: float
-) -> Tuple[int, float]:
+def _allreduce(runtimes, models, costs: CostModel, mode: str) -> Tuple[int, float]:
     """Average gradients across replicas (functional, via the backdoor) and
     charge the mode's communication time once (links run in parallel).
-
-    ``gradient_scale`` carries the analog model's tiny parameter count to
-    the real model's (LeNet has ~60K parameters vs ~400 here), the same
-    treatment ``sim_scale`` gives compute.
-    """
+    The charged volume is scaled by :data:`GRADIENT_SCALE`."""
     grads_per_replica: List[List[np.ndarray]] = []
     for rt, model in zip(runtimes, models):
         grads_per_replica.append(
             [rt.debug_gpu_buffer(g) for _p, g in model.all_params()]
         )
-    gradient_bytes = int(sum(g.nbytes for g in grads_per_replica[0]) * gradient_scale)
+    gradient_bytes = int(sum(g.nbytes for g in grads_per_replica[0]) * GRADIENT_SCALE)
     for buffers in zip(*grads_per_replica):
         mean = np.mean([b for b in buffers], axis=0)
         for b in buffers:
@@ -92,7 +91,6 @@ def data_parallel_train(
     total_samples: int = 128,
     batch_size: int = 16,
     lr: float = 0.05,
-    gradient_scale: float = 160.0,
     dataset: Dataset = None,
 ) -> DataParallelResult:
     """Train LeNet data-parallel on ``gpus`` GPUs of ``system``, measuring
@@ -136,7 +134,7 @@ def data_parallel_train(
         for g in range(1, gpus):
             shard = shards[(step * gpus + g) % len(shards)]
             models[g].forward_backward(runtimes[g], *shard)
-        _bytes, comm = _allreduce(runtimes, models, costs, mode, gradient_scale)
+        _bytes, comm = _allreduce(runtimes, models, costs, mode)
         mark = system.clock.now
         models[0].sgd_step(runtimes[0], lr)
         runtimes[0].cudaDeviceSynchronize()

@@ -298,10 +298,6 @@ class PagedKVCache:
         return freed
 
     @property
-    def resident_tokens(self) -> int:
-        return sum(self._tokens.values())
-
-    @property
     def resident_pages(self) -> int:
         return sum(
             len(pages) for blocks in self._blocks.values() for pages in blocks

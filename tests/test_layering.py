@@ -1,10 +1,11 @@
-"""Layering guard: the cluster and gateway layers use only public names.
+"""Layering guard: the guarded layers use only public names.
 
 A cluster drives its nodes, and the gateway drives the cluster, through
-their public interfaces, the way mEnclaves meet only through sRPC.  This
-test fails on any read or write of an ``_``-prefixed attribute of an
-object other than ``self`` or ``cls`` in those packages (dunders such as
-``__name__`` are public protocol and allowed).
+their public interfaces, the way mEnclaves meet only through sRPC; the
+serve, sim, hw, mos, enclave, crypto and metrics layers keep to the same
+rule.  This test fails on any read or write of an ``_``-prefixed
+attribute of an object other than ``self`` or ``cls`` in those packages
+(dunders such as ``__name__`` are public protocol and allowed).
 """
 
 import ast
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-GUARDED = ("cluster", "gateway")
+GUARDED = (
+    "cluster", "gateway", "serve", "sim", "hw", "mos", "enclave", "crypto", "metrics",
+)
 
 
 def private_accesses(source: str):

@@ -172,7 +172,7 @@ class TestSRPCChannel:
         channel.call("cudaLaunchKernel", "vecadd", [a, b, c])
         out = channel.call("cudaMemcpyD2H", c)
         assert np.all(out == 9.0)
-        assert channel._ring.stream_check()
+        assert channel.stream(0).ring.stream_check()
         channel.close()
 
     def test_large_record_expands_smem(self, cronus):
@@ -192,12 +192,12 @@ class TestSRPCChannel:
         app, caller, callee = _cpu_pair(cronus)
         channel = app.open_channel(caller, callee, ring_pages=1)
         a = channel.call("cudaMalloc", (4096,))
-        ring_before = channel._ring
+        ring_before = channel.stream(0).ring
         rid_before = ring_before.rid
         assert rid_before > 0  # prior traffic on the stream
         big = np.arange(4096, dtype=np.float32)  # forces _expand_smem
         channel.call("cudaMemcpyH2D", a, big)
-        ring_after = channel._ring
+        ring_after = channel.stream(0).ring
         assert ring_after is not ring_before
         # Rid advanced past the pre-expansion count (carried, not reset),
         # and the executed stream still passes streamCheck honestly.
@@ -280,7 +280,7 @@ class TestSRPCFailover:
         cronus.fail_partition("cpu0")
         from repro.secure.partition import PeerFailedSignal
 
-        ring_page = channel._smem_pages()[0]
+        ring_page = channel.stream(0).smem_pages()[0]
         from repro.hw.memory import PAGE_SIZE
 
         with pytest.raises(PeerFailedSignal):
