@@ -28,6 +28,9 @@ class ImageRegistry:
 
     def __init__(self) -> None:
         self._replicas: Dict[str, Set[str]] = {}
+        self.version = 0
+        """Bumped by every :meth:`register` and :meth:`drop_node`: a view
+        derived from the replica sets is current only while this holds."""
 
     def register(self, image_id: str, nodes: Iterable[str]) -> None:
         """(Re)place an image on exactly ``nodes``."""
@@ -35,6 +38,7 @@ class ImageRegistry:
         if not node_set:
             raise ImageError(f"image {image_id!r} needs at least one replica")
         self._replicas[image_id] = node_set
+        self.version += 1
 
     def drop_node(self, node: str) -> None:
         """A node died: remove it from every replica set.  Sets may drain
@@ -42,6 +46,7 @@ class ImageRegistry:
         as an explicit rejection rather than an error here."""
         for replicas in self._replicas.values():
             replicas.discard(node)
+        self.version += 1
 
     def holds(self, image_id: str, node: str) -> bool:
         return node in self._replicas.get(image_id, ())

@@ -9,7 +9,9 @@ them through their public node interface on **one shared virtual
 timeline**, on the single-node engine's event core
 (:mod:`repro.sim.events`).  Event phases at one instant follow the fixed
 order tabled in ``docs/serving.md`` over the cluster's deterministic
-node iteration order, so a cluster run replays byte-identically.
+node iteration order, so a cluster run replays byte-identically.  Only
+nodes with an event due at an instant are advanced or flushed; the rest
+catch their clocks up when the cluster next reads or feeds them.
 
 Routing: each tenant has a **home node** by rendezvous (highest-random-
 weight) hashing over the *alive nodes holding the request's enclave
@@ -23,16 +25,18 @@ Node-crash failover: a node kill harvests every admitted-but-unfinished
 request on the corpse, fails its partitions (the SPM panic scrub runs),
 **byte-audits** the migrated tenants' session pages as zero, then drives
 :class:`~repro.cluster.migrate.MigrationManager` checkpoint/restore onto
-surviving nodes; the harvested requests are re-delivered to the restore
-target after the sealed blob's simulated network transfer.  The
-cluster-level exactly-once audit closes over *all* nodes, so a migrated
-rid completing on two machines, or on none, is a reported violation.
+surviving nodes that hold each request's image; the harvested requests
+are re-delivered to the restore target after the sealed blob's simulated
+network transfer.  The cluster-level exactly-once audit closes over *all*
+nodes, so a migrated rid completing on two machines, or on none, is a
+reported violation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -45,7 +49,7 @@ from repro.serve.admission import Request
 from repro.serve.frontend import ServingReport, ServingSystem
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import TenantSpec
-from repro.sim.events import Cursor, Phase, drive
+from repro.sim.events import Cursor, Phase, Timers, drive
 
 _ARRIVAL_ORDER = attrgetter("arrival_us", "rid")
 _ARRIVAL_US = attrgetter("arrival_us")
@@ -53,6 +57,10 @@ _AT = itemgetter(0)
 
 #: Rejection recorded when no alive node holds the request's image.
 REJECT_NO_IMAGE = "no-image-replica"
+
+#: Memoized HRW homes kept before the memo starts over (a bound on its
+#: memory when candidate sets churn, e.g. gateway re-placements).
+HOME_MEMO_LIMIT = 1 << 16
 
 
 def request_image(request: Request) -> str:
@@ -69,14 +77,27 @@ def rendezvous_score(key: str, node: str) -> int:
 class NodeState:
     """One node's serving frontend plus its cluster-side bookkeeping."""
 
-    __slots__ = ("node", "name", "serving", "alive", "routed")
+    __slots__ = (
+        "node", "name", "index", "serving", "alive", "routed",
+        "backlog", "backlog_until",
+    )
 
-    def __init__(self, node: ClusterNode, serving: ServingSystem) -> None:
+    def __init__(self, node: ClusterNode, index: int, serving: ServingSystem) -> None:
         self.node = node
         self.name = node.name
+        self.index = index
+        """Position in ``Cluster`` iteration order (the node timer's key)."""
         self.serving = serving
         self.alive = True
         self.routed = 0
+        self.backlog = 0
+        self.backlog_until = -math.inf
+        """``backlog`` is the node's backlog until this instant, unless the
+        cluster touches the node first (which resets it to -inf)."""
+
+
+_CandidateSet = Tuple[Tuple[str, ...], Tuple[NodeState, ...]]
+"""An image's alive holders: their names and their node states."""
 
 
 class ClusterRouter:
@@ -86,24 +107,38 @@ class ClusterRouter:
         self.images = images
         self.steal_threshold = steal_threshold
         self.steals = 0
+        self._homes: Dict[Tuple[str, Tuple[str, ...]], str] = {}
+        """(key, candidate tuple) -> HRW winner; exact, the score is pure."""
 
     def home(self, key: str, candidates: Sequence[str]) -> str:
         """The HRW winner among ``candidates`` (must be non-empty)."""
-        return max(candidates, key=lambda n: (rendezvous_score(key, n), n))
+        candidates = tuple(candidates)
+        memo_key = (key, candidates)
+        home = self._homes.get(memo_key)
+        if home is None:
+            if len(self._homes) >= HOME_MEMO_LIMIT:
+                self._homes.clear()
+            home = self._homes[memo_key] = max(
+                candidates, key=lambda n: (rendezvous_score(key, n), n)
+            )
+        return home
 
     def route(
-        self, key: str, candidates: Sequence[str], backlog: Dict[str, int]
+        self, key: str, candidates: Sequence[str], backlog: Sequence[int]
     ) -> str:
         """Home node, unless its backlog is ``steal_threshold`` over the
-        least-loaded candidate — then the least-loaded candidate steals
-        (ties break by name: ``backlog`` keys iterate sorted)."""
+        least-loaded candidate — then the least-loaded candidate steals.
+        ``backlog[i]`` is ``candidates[i]``'s backlog; equally loaded
+        candidates tie-break by name (the ``(backlog, name)`` minimum)."""
         home = self.home(key, candidates)
         if len(candidates) == 1:
             return home
-        coolest = min(candidates, key=lambda n: (backlog[n], n))
-        if backlog[home] - backlog[coolest] > self.steal_threshold:
+        coolest = min(backlog)
+        if backlog[candidates.index(home)] - coolest > self.steal_threshold:
             self.steals += 1
-            return coolest
+            return min(
+                name for name, load in zip(candidates, backlog) if load == coolest
+            )
         return home
 
 
@@ -236,7 +271,7 @@ class ClusterServingSystem:
         )
         self._states: Dict[str, NodeState] = {}
         """Member node states, in ``Cluster`` iteration order."""
-        for node in members:
+        for index, node in enumerate(members):
             serving = ServingSystem(
                 node.system,
                 max_batch=max_batch,
@@ -251,7 +286,16 @@ class ClusterServingSystem:
                     node.system, slo=serving.slo, node=node.name
                 )
                 serving.bind_telemetry(source)
-            self._states[node.name] = NodeState(node, serving)
+            self._states[node.name] = NodeState(node, index, serving)
+        self._by_index: List[NodeState] = list(self._states.values())
+        self._node_due = Timers()
+        """node index -> the node's ``next_event_time()``, re-reported by
+        every phase that touches the node; only due nodes advance/flush."""
+        self._candidate_sets: Dict[str, _CandidateSet] = {}
+        """image -> its alive holders; valid while ``images.version`` equals
+        ``_candidates_version`` (a kill drops the corpse from the registry,
+        which moves the version)."""
+        self._candidates_version = self.images.version
         if telemetry is not None:
             telemetry.add_extra(self._telemetry_extra)
         self._now = 0.0
@@ -271,12 +315,25 @@ class ClusterServingSystem:
     def node_state(self, name: str) -> NodeState:
         return self._states[name]
 
-    def candidates(self, image: str) -> List[str]:
+    def candidates(self, image: str) -> Tuple[str, ...]:
         """Alive member nodes holding ``image``, in the registry's order."""
-        return [
-            name for name in self.images.nodes_for(image)
-            if name in self._states and self._states[name].alive
-        ]
+        return self._candidate_set(image)[0]
+
+    def _candidate_set(self, image: str) -> _CandidateSet:
+        version = self.images.version
+        if version != self._candidates_version:
+            self._candidate_sets.clear()
+            self._candidates_version = version
+        cached = self._candidate_sets.get(image)
+        if cached is None:
+            states = [
+                self._states[name] for name in self.images.nodes_for(image)
+                if name in self._states and self._states[name].alive
+            ]
+            cached = self._candidate_sets[image] = (
+                tuple(ns.name for ns in states), tuple(states)
+            )
+        return cached
 
     # -- tenants -----------------------------------------------------------
     def add_tenants(self, specs: Iterable[TenantSpec]) -> None:
@@ -306,13 +363,19 @@ class ClusterServingSystem:
     # -- routing -----------------------------------------------------------
     def route(self, request: Request) -> Optional[str]:
         """The node this request lands on, or None if unroutable."""
-        candidates = self.candidates(request_image(request))
-        if not candidates:
+        names, states = self._candidate_set(request_image(request))
+        if not names:
             return None
-        backlog = {
-            name: self._states[name].serving.backlog() for name in sorted(candidates)
-        }
-        return self.router.route(request.tenant, candidates, backlog)
+        now = self._now
+        backlog = []
+        for ns in states:
+            if now >= ns.backlog_until:
+                serving = ns.serving
+                serving.advance(now)
+                ns.backlog = serving.backlog()
+                ns.backlog_until = serving.backlog_falls_at()
+            backlog.append(ns.backlog)
+        return self.router.route(request.tenant, names, backlog)
 
     def offer(self, request: Request) -> Optional[str]:
         """Route + offer one request at its arrival instant; returns the
@@ -327,7 +390,9 @@ class ClusterServingSystem:
             self.migration.ensure_session(ns.node, request.tenant)
         ns.routed += 1
         self._routing_digest.update(f"{request.rid}>{target}\n".encode())
+        ns.serving.advance(self._now)
         ns.serving.offer(request)
+        self._report_node(ns)
         return target
 
     # -- node-crash failover -----------------------------------------------
@@ -345,20 +410,23 @@ class ClusterServingSystem:
 
         Harvests every admitted-but-unfinished request, scrubs + audits
         the corpse, checkpoint-restores in-flight tenants' sessions onto
-        surviving nodes and schedules the harvested requests for delivery
-        there after the migration transfer delay.  Returns the harvested
-        requests (primarily for tests)."""
+        surviving nodes that hold the requests' images and schedules the
+        harvested requests for delivery there after the migration
+        transfer delay.  Returns the harvested requests (primarily for
+        tests)."""
         ns = self._states.get(name)
         if ns is None or not ns.alive:
             return []
         # The machine analog of the partition panic: every partition
         # fails, and the SPM scrub runs on the way down.
+        ns.serving.advance(self._now)
         unfinished = ns.serving.harvest()
         if self.migration is not None:
             self.migration.audit_scrub(ns.node)
         ns.alive = False
         ns.node.fail()
-        self.images.drop_node(name)
+        self._node_due.cancel(ns.index)
+        self.images.drop_node(name)  # also retires the cached candidate sets
         self.node_kills.append((self._now, name))
         obs = ns.node.system.platform.obs
         if obs.enabled:
@@ -369,18 +437,20 @@ class ClusterServingSystem:
                 "recovery.node-kill", ts=self._now, category="recovery",
                 node=name, harvested=len(unfinished),
             )
-        survivors = self.alive_nodes()
-        if not survivors:
-            self.orphaned += len(unfinished)
-            if self.telemetry is not None:
-                self.telemetry.node_killed(self._now, name)
-            return unfinished
-        survivor_names = [s.name for s in survivors]
-        by_tenant: Dict[str, List[Request]] = {}
+        # Each (tenant, image) group restores onto the tenant's rendezvous
+        # home among the alive nodes holding that image; with none alive,
+        # the group is orphaned.
+        groups: Dict[Tuple[str, str], List[Request]] = {}
         for request in unfinished:
-            by_tenant.setdefault(request.tenant, []).append(request)
-        for tenant in sorted(by_tenant):
-            target_name = self.router.home(tenant, survivor_names)
+            groups.setdefault((request.tenant, request_image(request)), []).append(
+                request
+            )
+        for tenant, image in sorted(groups):
+            holders = self.candidates(image)
+            if not holders:
+                self.orphaned += len(groups[tenant, image])
+                continue
+            target_name = self.router.home(tenant, holders)
             delay = self.cluster.costs.network_rtt_us
             if self.migration is not None:
                 session = self.migration.session(tenant)
@@ -393,7 +463,7 @@ class ClusterServingSystem:
                     delay = self.migration_delay_us(
                         self.migration.blob_bytes(tenant)
                     )
-            for request in by_tenant[tenant]:
+            for request in groups[tenant, image]:
                 self._migration_seq += 1
                 heapq.heappush(
                     self._pending_migrations,
@@ -417,17 +487,17 @@ class ClusterServingSystem:
             ns = self._states.get(target_name)
             if ns is None or not ns.alive:
                 # The restore target died in transit: re-route among the
-                # remaining survivors (no further delay — the blob is
-                # already off the first corpse).
-                survivors = self.alive_nodes()
-                if not survivors:
+                # remaining holders of the image (no further delay — the
+                # blob is already off the first corpse).
+                holders = self.candidates(request_image(request))
+                if not holders:
                     self.orphaned += 1
                     continue
-                ns = self._states[
-                    self.router.home(request.tenant, [s.name for s in survivors])
-                ]
+                ns = self._states[self.router.home(request.tenant, holders)]
             self.migrated_requests += 1
+            ns.serving.advance(self._now)
             ns.serving.adopt(request)
+            self._report_node(ns)
 
     # -- the cluster event loop --------------------------------------------
     def run(
@@ -443,8 +513,10 @@ class ClusterServingSystem:
         deaths; ``crash_events`` a list of ``(time_us, node, device)``
         single-partition crashes (the figure-9 scenario on a named node).
         """
+        for ns in self.alive_nodes():
+            self._report_node(ns)
         phases = (
-            Phase(self._next_node_event, self._advance_nodes),
+            Phase(self._node_due.peek, self._advance_nodes),
             Phase(self._next_migration, self._deliver_migrations),
             Cursor(sorted(arrivals, key=_ARRIVAL_ORDER), _ARRIVAL_US, self.offer),
             Cursor(
@@ -455,39 +527,54 @@ class ClusterServingSystem:
         )
         drive(phases, self.telemetry, self._now)
         # Stream over: anything still parked on an alive node can never
-        # run (same backstop as the single-node loop).
+        # run (same backstop as the single-node loop).  Idle nodes' clocks
+        # catch up to the makespan here.
         for ns in self.alive_nodes():
+            ns.serving.advance(self._now)
             ns.serving.expire_parked()
         if self.telemetry is not None:
             self.telemetry.scrape(self._now)
         return self.report()
 
-    def _next_node_event(self) -> Optional[float]:
-        t: Optional[float] = None
-        for ns in self.alive_nodes():
-            node_t = ns.serving.next_event_time()
-            if node_t is not None and (t is None or node_t < t):
-                t = node_t
-        return t
+    def _report_node(self, ns: NodeState) -> None:
+        """After the cluster touched a node: drop its cached backlog and
+        re-read its next event instant into the node timer."""
+        ns.backlog_until = -math.inf
+        at = ns.serving.next_event_time()
+        if at is None:
+            self._node_due.cancel(ns.index)
+        elif self._node_due.get(ns.index) != at:
+            self._node_due.schedule(ns.index, at)
 
     def _next_migration(self) -> Optional[float]:
         heap = self._pending_migrations
         return heap[0][0] if heap else None
 
     def _advance_nodes(self, now: float) -> None:
+        """Nodes due by ``now`` advance, in ``Cluster`` order; every other
+        node's clock syncs lazily when the cluster next reads or feeds it."""
         self._now = now
-        for ns in self.alive_nodes():
+        for index in sorted(self._node_due.pop_due(now)):
+            ns = self._by_index[index]
             ns.serving.advance(now)
+            self._report_node(ns)
 
     def _crash_partition(self, event: Tuple[float, str, str]) -> None:
         _, node, device = event
         ns = self._states.get(node)
         if ns is not None and ns.alive:
+            ns.serving.advance(self._now)
             ns.serving.crash_partition(device)
+            self._report_node(ns)
 
     def _flush_nodes(self, now: float) -> None:
-        for ns in self.alive_nodes():
+        """Nodes due by ``now`` flush, in ``Cluster`` order.  Every node in
+        the timer at or before ``now`` was touched this instant, so its
+        clock already reads ``now``."""
+        for index in sorted(self._node_due.pop_due(now)):
+            ns = self._by_index[index]
             ns.serving.flush_due(now)
+            self._report_node(ns)
 
     # -- reporting ---------------------------------------------------------
     def cluster_metrics(self):

@@ -82,6 +82,8 @@ class DeadlineBatcher:
         self.max_batch = max_batch
         self.max_delay_us = max_delay_us
         self._queues: Dict[str, _DeviceQueue] = {}
+        self._pending = 0
+        """Requests queued over every partition (the sum of the depths)."""
         self._due_heap: List[Tuple[float, str]] = []
         """(due_us, device) flush obligations; entries go stale when a
         queue flushes, evicts, or tightens its due time (lazy deletion)."""
@@ -119,6 +121,7 @@ class DeadlineBatcher:
             queue.edf, (request.deadline_us, request.rid, self._seq, request)
         )
         queue.order.append(request)
+        self._pending += 1
         if now_us < queue.oldest_us:
             queue.oldest_us = now_us
         if request.deadline_us < queue.min_deadline_us:
@@ -160,6 +163,10 @@ class DeadlineBatcher:
     def depths(self) -> Dict[str, int]:
         return {d: len(q.order) for d, q in self._queues.items() if q.order}
 
+    def pending(self) -> int:
+        """Pending requests summed over every partition."""
+        return self._pending
+
     def pending_requests(self, device_name: str) -> List[Request]:
         """The pending requests for one partition (crash re-queue path)."""
         queue = self._queues.get(device_name)
@@ -169,7 +176,10 @@ class DeadlineBatcher:
         """Drop and return a partition's pending requests (its partition
         crashed; the frontend re-queues them elsewhere)."""
         queue = self._queues.pop(device_name, None)
-        return list(queue.order) if queue is not None else []
+        if queue is None:
+            return []
+        self._pending -= len(queue.order)
+        return list(queue.order)
 
     def due_at(self, device_name: str) -> Optional[float]:
         """Earliest simulated time at which this partition's batch must
@@ -206,6 +216,7 @@ class DeadlineBatcher:
         queue = self._queues.pop(device_name, None)
         if queue is None or not queue.order:
             return None
+        self._pending -= len(queue.order)
         edf = queue.edf
         requests = [heapq.heappop(edf)[3] for _ in range(len(edf))]
         self.batches_formed += 1

@@ -58,6 +58,7 @@ or is reported expired, never duplicated.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -685,11 +686,26 @@ class ServingSystem:
 
     def backlog(self) -> int:
         """Admitted work not yet finished: parked requests plus every GPU
-        partition's pending and still-executing requests."""
-        total = len(self._parked)
-        for device in self._gpus:
-            total += self._effective_depth(device)
-        return total
+        partition's pending and still-executing requests — the sum of
+        :meth:`_effective_depth` over the GPUs, read in one pass."""
+        return (
+            len(self._parked) + self.batcher.pending()
+            + sum(map(len, self._executing()))
+        )
+
+    def backlog_falls_at(self) -> float:
+        """When :meth:`backlog` next falls with no other event: the first
+        completion instant after the node's clock of work still executing
+        (``inf`` when nothing is executing)."""
+        return min((done[0] for done in self._executing() if done), default=math.inf)
+
+    def _executing(self):
+        """Each GPU's completion instants still after the node's clock."""
+        now = self._now
+        for done in self._inflight.values():
+            while done and done[0] <= now:
+                done.popleft()
+        return self._inflight.values()
 
     def harvest(self) -> List[Request]:
         """The machine under this node dies: fail every partition not

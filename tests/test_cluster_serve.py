@@ -12,6 +12,7 @@ from repro.cluster import (
     rendezvous_score,
     request_image,
 )
+from repro.gateway import Gateway
 from repro.serve.admission import Request
 from repro.serve.loadgen import LoadProfile, generate_trace, synthetic_service_model
 
@@ -63,8 +64,10 @@ class TestRouter:
         key = "tenant-x"
         home = router.home(key, nodes)
         other = "node1" if home == "node0" else "node0"
-        assert router.route(key, nodes, {home: 0, other: 5}) == home
-        assert router.route(key, nodes, {home: 100, other: 5}) == other
+        loads = {home: 0, other: 5}
+        assert router.route(key, nodes, [loads[n] for n in nodes]) == home
+        loads = {home: 100, other: 5}
+        assert router.route(key, nodes, [loads[n] for n in nodes]) == other
         assert router.steals == 1
 
     def test_request_image(self):
@@ -210,3 +213,130 @@ class TestNodeKillMigration:
         table = report.node_table()
         assert "dead" in table
         assert "node1" in table
+
+
+class TestCandidateCache:
+    """Every registry change and every kill shows in the next
+    ``candidates()``, ``route()`` and gateway ``route_fn`` after routing
+    has filled the candidate cache and the HRW memo."""
+
+    IMAGE = "kernel:matmul"
+    LATE = Request("scale-00000", "scale-00000-late", 1e7, 2e7)
+
+    def routed(self):
+        specs, requests = small_trace(requests=100)
+        serving = build(3, steal_threshold=10_000)
+        serving.add_tenants(specs)
+        serving.run(requests)
+        gateway = Gateway(serving)
+        spec = gateway.registry.get("matmul")
+        # Warm both routing paths before the change under test.
+        assert tuple(serving.candidates(self.IMAGE)) == ("node0", "node1", "node2")
+        serving.route(self.LATE)
+        gateway.route_fn(spec, "key")
+        return serving, gateway, spec
+
+    def expect(self, serving, gateway, spec, nodes):
+        assert tuple(serving.candidates(self.IMAGE)) == nodes
+        assert serving.route(self.LATE) == serving.router.home(self.LATE.tenant, nodes)
+        assert gateway.route_fn(spec, "key") == serving.router.home("key", nodes)
+
+    def test_register_narrows(self):
+        serving, gateway, spec = self.routed()
+        for node in ("node0", "node1", "node2"):
+            gateway.place_image(self.IMAGE, [node])
+            gateway.place_image(spec.image_id, [node])
+            self.expect(serving, gateway, spec, (node,))
+
+    def test_register_widens(self):
+        serving, gateway, spec = self.routed()
+        for image in (self.IMAGE, spec.image_id):
+            gateway.place_image(image, ["node1"])
+        self.expect(serving, gateway, spec, ("node1",))
+        for image in (self.IMAGE, spec.image_id):
+            gateway.place_image(image, ["node0", "node1", "node2"])
+        self.expect(serving, gateway, spec, ("node0", "node1", "node2"))
+
+    def test_drop_node(self):
+        serving, gateway, spec = self.routed()
+        home = serving.route(self.LATE)
+        serving.images.drop_node(home)
+        rest = tuple(n for n in ("node0", "node1", "node2") if n != home)
+        self.expect(serving, gateway, spec, rest)
+
+    def test_kill(self):
+        serving, gateway, spec = self.routed()
+        home = serving.route(self.LATE)
+        serving.kill_node(home)
+        rest = tuple(n for n in ("node0", "node1", "node2") if n != home)
+        self.expect(serving, gateway, spec, rest)
+
+
+class TestImageAwareMigration:
+    """A node kill restores sessions and re-delivers work only onto nodes
+    that hold the request's image (``kernel:matmul`` on node0/node1)."""
+
+    def run_kill(self, kills):
+        specs, requests = generate_trace(LoadProfile(seed=3, requests=400))
+        images = ImageRegistry()
+        images.register("kernel:matmul", ["node0", "node1"])
+        serving = build(3, images=images)
+        serving.add_tenants(specs)
+        kill_at = requests[len(requests) // 2].arrival_us
+        return serving.run(
+            requests,
+            node_kill_events=[(kill_at + offset, node) for offset, node in kills],
+        )
+
+    def test_restore_targets_hold_the_image(self):
+        report = self.run_kill([(0.0, "node0")])
+        assert report.migrations
+        assert {record.target for record in report.migrations} == {"node1"}
+        assert not report.per_node["node2"].admitted
+        assert report.orphaned == 0
+        assert report.audit_exactly_once() == []
+
+    def test_in_transit_reroute_needs_a_holder(self):
+        """The restore target dies while the blobs are in flight; the only
+        other alive node lacks the image, so the work is orphaned."""
+        report = self.run_kill([(0.0, "node0"), (10.0, "node1")])
+        assert report.orphaned > 0
+        assert not report.per_node["node2"].admitted
+
+
+class TestBacklog:
+    def test_backlog_is_the_effective_depth_sum(self):
+        """The one-pass backlog the router reads (cached until the node is
+        touched or its next completion passes) equals the placer's
+        per-device depths, at every routing decision."""
+        checked = []
+
+        class Checked(ClusterServingSystem):
+            def route(self, request):
+                target = super().route(request)
+                for ns in self.alive_nodes():
+                    sv = ns.serving
+                    sv.advance(self._now)
+                    fresh = len(sv._parked) + sum(
+                        sv._effective_depth(d) for d in sv._gpus
+                    )
+                    assert sv.backlog() == fresh
+                    if ns.backlog_until > self._now:
+                        assert ns.backlog == fresh
+                        checked.append(fresh)
+                return target
+
+        specs, requests = small_trace(requests=600, rate=400_000.0)
+        serving = Checked(
+            Cluster(num_nodes=3, gpus_per_node=2),
+            service_model=synthetic_service_model(),
+            steal_threshold=4,
+        )
+        serving.add_tenants(specs)
+        report = serving.run(
+            requests,
+            node_kill_events=[(600.0, "node1")],
+            crash_events=[(900.0, "node2", "gpu0")],
+        )
+        assert report.steals > 0
+        assert any(checked)

@@ -3,13 +3,15 @@
 Simulated time is the result this repository reproduces, so a change to
 how an engine schedules its events must leave every digest below
 byte-identical.  Each scenario is a small fixed-seed run; the pins were
-computed before the engines moved onto :mod:`repro.sim.events` and must
-never be regenerated to make a refactor pass.
+computed before the engines moved onto :mod:`repro.sim.events` (and
+``cluster_twelve_nodes`` before the cluster stopped polling every node at
+every instant) and must never be regenerated to make a refactor pass.
 
 ``PYTHONPATH=src python tests/test_engine_fingerprints.py`` prints the
 current digests in the ``PINNED`` layout.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -208,6 +210,55 @@ def cluster_kill_and_crash():
     }
 
 
+def cluster_twelve_nodes():
+    """12 nodes: a kill, a partition crash on a survivor and a second kill
+    of the first kill's restore target while its blobs are in flight.
+
+    Arrivals sit on a 50 us grid, so several nodes' batches fall due at
+    the same instant; ``flushes`` pins the order they flush in, which is
+    ``Cluster`` order (node2 before node10)."""
+    specs, trace = generate_trace(LoadProfile(
+        seed=5, tenants=24, requests=1_500, mean_rate_rps=400_000.0,
+        deadline_us=50_000.0,
+    ))
+    trace = [
+        dataclasses.replace(
+            request,
+            arrival_us=50.0 * (request.arrival_us // 50.0),
+            deadline_us=50.0 * (request.arrival_us // 50.0) + 50_000.0,
+        )
+        for request in trace
+    ]
+    serving = ClusterServingSystem(
+        Cluster(num_nodes=12, gpus_per_node=1),
+        max_batch=16,
+        service_model=synthetic_service_model(),
+    )
+    serving.add_tenants(specs)
+    flushes = []
+    for ns in serving.alive_nodes():
+        def flush_due(now, node=ns.serving, name=ns.name):
+            formed = node.batcher.batches_formed
+            type(node).flush_due(node, now)
+            if node.batcher.batches_formed > formed:
+                flushes.append((f"{now:.6f}", name))
+        ns.serving.flush_due = flush_due
+    report = serving.run(
+        trace,
+        node_kill_events=[(1_500.0, "node3"), (1_520.0, "node6")],
+        crash_events=[(2_500.0, "node10", "gpu0")],
+    )
+    return {
+        "cluster": report.fingerprint,
+        "run": _digest(
+            report.migrated_requests, report.scrub_pages_audited,
+            report.orphaned, f"{report.makespan_us:.6f}",
+            [record.line() for record in report.migrations],
+        ),
+        "flushes": _digest(flushes),
+    }
+
+
 SCENARIOS = {
     f.__name__: f
     for f in (
@@ -218,6 +269,7 @@ SCENARIOS = {
         llm_continuous_crash,
         llm_static,
         cluster_kill_and_crash,
+        cluster_twelve_nodes,
     )
 }
 
@@ -227,6 +279,11 @@ PINNED = {
         "run": "9fbbb13a5f38067212c3042feeb762f29de715e45948180a7f1905130a0c4713",
         "store": "67e4e7e54850427730af7fd85d8c9ff55f5e430c8a27fe6231e0a5f0a38439e4",
         "alerts": "e44057c7478257912f3d690ece8b42aea179066e7004b50b2f6067f57816bb44",
+    },
+    "cluster_twelve_nodes": {
+        "cluster": "c4978ac56b3ae974553bb823280291547bb96a65f76047aba58a91a670b30b5f",
+        "run": "dfe25a923d4ac45ac1a3d15d761c86b2debd7faa59ebfac0c53b239a4cf22766",
+        "flushes": "4ede508f3b132f044486546743b95eeee7efdb0bd1a27e8c01683ea6882dcd2b",
     },
     "llm_continuous_crash": {
         "token": "71b0a2413999c498f938d752db2bfc41c25b7f15a20665f9ba225434a2324c89",
