@@ -137,9 +137,6 @@ class PmpMemoryGuard:
         if world == NORMAL_WORLD:
             self.pmp.check_normal_access(addr, length, write=False)
 
-    def secure_regions(self) -> List[PmpEntry]:
-        return list(self._regions)
-
 
 class PmpDeviceGuard:
     """TZPC-compatible adapter: SecureIO via PMP over MMIO windows.

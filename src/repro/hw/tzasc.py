@@ -60,7 +60,3 @@ class TZASC:
             raise AccessFault(
                 f"TZASC: normal world denied access to secure range {addr:#x}+{length}"
             )
-
-    def secure_regions(self) -> List[SecureRegion]:
-        """Current configuration (included in attestation material)."""
-        return list(self._regions)

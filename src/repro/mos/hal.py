@@ -80,10 +80,6 @@ class HAL:
             raise HalError(f"device {self.device.name!r} key does not match endorsement")
         return self.device.public_key
 
-    def clear_device(self) -> int:
-        """Failure-clearing hook (invoked by recovery step 2)."""
-        return self.device.clear_state()
-
 
 class CpuHal(HAL):
     """HAL over the CPU cluster (OPTEE-core analog)."""

@@ -46,10 +46,6 @@ class ShimKernel:
         self._gic.register(device.irq, handler)
         return device.irq
 
-    def free_irq(self) -> None:
-        if self._gic is not None:
-            self._gic.unregister(self._partition.device.irq)
-
     # -- ioremap ----------------------------------------------------------
     def ioremap(self, device_name: str, base: int, size: int) -> Tuple[int, int]:
         """Map a device MMIO window; the TZPC must assign the device to the

@@ -122,8 +122,10 @@ class SpanRecorder:
     * the full span list (bounded by ``capacity``, with a ``dropped``
       counter like the event tracer's),
     * a per-partition map of the *last context active on that partition*
-      (``note_partition``), which the SPM uses to parent recovery spans
-      under the request that was running when the partition died,
+      (every span opened or recorded with a ``partition`` updates it),
+      which the SPM reads through ``partition_context`` to parent
+      recovery spans under the request that was running when the
+      partition died,
     * a :class:`~repro.obs.flight.FlightRecorder` ring of the last N
       closed spans, dumped by the failover path when a partition crashes.
     """
@@ -309,12 +311,6 @@ class SpanRecorder:
         )
 
     # -- partition activity (crash parenting) ------------------------------
-    def note_partition(self, partition: str, context: Optional[SpanContext]) -> None:
-        """Remember the last span context active on ``partition`` so a
-        later crash can parent its recovery spans under that trace."""
-        if context is not None:
-            self._partition_last[partition] = context
-
     def partition_context(self, partition: str) -> Optional[SpanContext]:
         return self._partition_last.get(partition)
 

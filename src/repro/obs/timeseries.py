@@ -41,6 +41,26 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 Number = float
 
+_RANK_FRACTIONS: Dict[float, Tuple[int, int]] = {}
+"""pct -> (numerator, 100 * denominator) of ``Fraction(str(pct))``."""
+
+
+def exact_rank(n: int, pct: float) -> int:
+    """The 1-based nearest rank ``ceil(pct/100 * n)``, clamped to [1, n].
+
+    Computed *exactly*: ``pct`` is read as the decimal it prints as
+    (``Fraction(str(pct))``, memoized per ``pct``), so non-integer
+    percentiles like 99.9 never pick up a one-off rank from binary
+    floating-point error (``99.9 * 1000 / 100`` is 999.0000000000001 in
+    floats; the old ``-(-pct * n // 100)`` trick then ceils to 1000).
+    """
+    frac = _RANK_FRACTIONS.get(pct)
+    if frac is None:
+        exact = Fraction(str(pct))
+        frac = _RANK_FRACTIONS[pct] = (exact.numerator, 100 * exact.denominator)
+    numerator, denominator = frac
+    return max(1, min(n, -((-n * numerator) // denominator)))
+
 
 def bucket_quantile(bounds: Sequence[float], counts: Sequence[int], pct: float) -> float:
     """Nearest-rank quantile from histogram bucket counts.
@@ -49,15 +69,12 @@ def bucket_quantile(bounds: Sequence[float], counts: Sequence[int], pct: float) 
     trailing overflow bucket (the :class:`~repro.obs.metric.Histogram`
     layout).  Returns the upper edge of the bucket holding the ranked
     observation — the overflow bucket reports the last finite edge, the
-    best bound the fixed layout can state.  Exact-rank arithmetic mirrors
-    :func:`repro.serve.slo.nearest_rank` (no float rank drift).
+    best bound the fixed layout can state.
     """
     total = sum(counts)
     if total <= 0:
         return 0.0
-    frac = Fraction(str(pct))
-    rank = -((-total * frac.numerator) // (100 * frac.denominator))
-    rank = max(1, min(total, rank))
+    rank = exact_rank(total, pct)
     seen = 0
     for index, count in enumerate(counts):
         seen += count

@@ -13,16 +13,16 @@ could only create expirations).  Within a batch, requests execute in
 earliest-deadline-first order with the request id as the deterministic
 tie-break.
 
-Host-speed design (the raw-speed engine refactor): each partition keeps an
-**EDF heap** keyed ``(deadline, rid, seq)`` plus an O(1) incrementally
-maintained due time (oldest enqueue instant and minimum deadline only ever
-tighten between flushes, and a flush or evict drops the whole queue), and
-a **global due-time heap with lazy deletion** orders the flush obligations
-across partitions.  ``earliest_due`` is O(1) amortized and
-``due_partitions`` early-outs without touching any per-partition state
-when nothing is due — the pre-heap implementation re-sorted every pending
-queue on every poll of the serving loop, which made one simulated second
-cost O(events · pending) host work.
+Host-speed design: each partition keeps an **EDF heap** keyed
+``(deadline, rid, seq)`` plus its running due-time inputs (the oldest
+enqueue instant and the minimum deadline only ever tighten between
+flushes, and a flush or evict drops the whole queue).  The flush
+obligations across partitions are one :class:`~repro.sim.events.Timers`
+keyed by partition, the event core every serving engine's timers run on:
+``add`` reschedules a partition when its due time tightens, ``flush`` and
+``evict`` cancel it, and ``earliest_due``/``due_partitions`` are its
+``peek``/``pop_due``.  Fleet liveness is not the batcher's business: the
+serving layer places only onto live partitions and guards every flush.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.serve.admission import Request
+from repro.sim.events import Timers
 
 _DATACLASS_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
@@ -84,30 +85,11 @@ class DeadlineBatcher:
         self._queues: Dict[str, _DeviceQueue] = {}
         self._pending = 0
         """Requests queued over every partition (the sum of the depths)."""
-        self._due_heap: List[Tuple[float, str]] = []
-        """(due_us, device) flush obligations; entries go stale when a
-        queue flushes, evicts, or tightens its due time (lazy deletion)."""
+        self._due = Timers()
+        """partition -> instant its pending batch must flush."""
         self._seq = 0
         self.batches_formed = 0
         self.requests_batched = 0
-        self._live: Optional[Callable[[str], bool]] = None
-        self.compactions = 0
-        """Due-heap rebuilds (kept off ``stats`` — engine-comparable)."""
-
-    def set_live_filter(self, live: Optional[Callable[[str], bool]]) -> None:
-        """Install the serving layer's device-liveness view.
-
-        With an elastic fleet, a retired or crashed device's stale
-        ``(due_us, device)`` heap entries must never surface as flush
-        obligations — popping one in the serving loop's flush phase would
-        resurrect a dead device name with a fresh worker.  Entries whose
-        device fails the filter are treated as stale and discarded.
-        """
-        self._live = live
-
-    def _is_live(self, device_name: str) -> bool:
-        live = self._live
-        return live is None or live(device_name)
 
     def add(self, device_name: str, request: Request, now_us: float) -> bool:
         """Queue ``request`` for ``device_name``; True if the partition's
@@ -115,7 +97,8 @@ class DeadlineBatcher:
         queue = self._queues.get(device_name)
         if queue is None:
             queue = self._queues[device_name] = _DeviceQueue()
-        before = self._queue_due(queue)
+        delay = self.max_delay_us
+        before = min(queue.oldest_us + delay, queue.min_deadline_us)
         self._seq += 1
         heapq.heappush(
             queue.edf, (request.deadline_us, request.rid, self._seq, request)
@@ -126,34 +109,10 @@ class DeadlineBatcher:
             queue.oldest_us = now_us
         if request.deadline_us < queue.min_deadline_us:
             queue.min_deadline_us = request.deadline_us
-        due = self._queue_due(queue)
+        due = min(queue.oldest_us + delay, queue.min_deadline_us)
         if due < before:
-            heap = self._due_heap
-            heapq.heappush(heap, (due, device_name))
-            # Every tightening pushes a fresh entry and strands the old
-            # one, so tight-deadline churn grows the heap without bound
-            # unless the stale fraction is compacted away.  The trigger
-            # keeps the invariant len(heap) <= max(64, 4 * live queues).
-            if len(heap) > 64 and len(heap) > 4 * len(self._queues):
-                self._compact()
+            self._due.schedule(device_name, due)
         return len(queue.order) >= self.max_batch
-
-    def _compact(self) -> None:
-        """Rebuild the due heap from ground truth, dropping stale entries.
-
-        O(live queues); amortized free because at least 3/4 of the
-        entries dropped were stale pushes that already cost O(log n).
-        """
-        self._due_heap = [
-            (self._queue_due(queue), device)
-            for device, queue in self._queues.items()
-            if queue.order and self._is_live(device)
-        ]
-        heapq.heapify(self._due_heap)
-        self.compactions += 1
-
-    def _queue_due(self, queue: _DeviceQueue) -> float:
-        return min(queue.oldest_us + self.max_delay_us, queue.min_deadline_us)
 
     def depth(self, device_name: str) -> int:
         """Pending (batched-but-unflushed) requests for one partition."""
@@ -167,55 +126,33 @@ class DeadlineBatcher:
         """Pending requests summed over every partition."""
         return self._pending
 
-    def pending_requests(self, device_name: str) -> List[Request]:
-        """The pending requests for one partition (crash re-queue path)."""
-        queue = self._queues.get(device_name)
-        return list(queue.order) if queue is not None else []
-
     def evict(self, device_name: str) -> List[Request]:
         """Drop and return a partition's pending requests (its partition
         crashed; the frontend re-queues them elsewhere)."""
         queue = self._queues.pop(device_name, None)
         if queue is None:
             return []
+        self._due.cancel(device_name)
         self._pending -= len(queue.order)
         return list(queue.order)
 
     def due_at(self, device_name: str) -> Optional[float]:
         """Earliest simulated time at which this partition's batch must
         flush (oldest + max_delay, or the earliest deadline)."""
-        queue = self._queues.get(device_name)
-        if queue is None or not queue.order:
-            return None
-        return self._queue_due(queue)
+        return self._due.get(device_name)
 
-    def earliest_due(self) -> Optional[Tuple[float, str]]:
-        """The next (time, partition) flush obligation across partitions.
-
-        O(1) amortized: stale heap entries (their queue flushed, evicted,
-        or tightened since the push) are discarded as they surface.
-        """
-        heap = self._due_heap
-        while heap:
-            due, device = heap[0]
-            queue = self._queues.get(device)
-            if (
-                queue is not None
-                and queue.order
-                and self._queue_due(queue) == due
-                and self._is_live(device)
-            ):
-                return (due, device)
-            heapq.heappop(heap)
-        return None
+    def earliest_due(self) -> Optional[float]:
+        """The earliest flush obligation across partitions, or None."""
+        return self._due.peek()
 
     def flush(
         self, device_name: str, now_us: float, *, reason: str = ""
     ) -> Optional[Batch]:
         """Form the batch for ``device_name`` (EDF order), or None."""
         queue = self._queues.pop(device_name, None)
-        if queue is None or not queue.order:
+        if queue is None:
             return None
+        self._due.cancel(device_name)
         self._pending -= len(queue.order)
         edf = queue.edf
         requests = [heapq.heappop(edf)[3] for _ in range(len(edf))]
@@ -229,36 +166,10 @@ class DeadlineBatcher:
         )
 
     def due_partitions(self, now_us: float) -> List[str]:
-        """Partitions whose batches must flush at or before ``now_us``.
-
-        Early-outs via the due heap's minimum — the serving loop polls
-        this on every event, and almost every poll finds nothing due, so
-        the pre-heap full re-sort of ``self._pending`` was pure overhead.
-        Still-valid obligations are re-pushed: the caller flushes them,
-        which is what finally retires their heap entries.
-        """
-        heap = self._due_heap
-        keep: List[Tuple[float, str]] = []
-        out: List[str] = []
-        seen = set()
-        while heap and heap[0][0] <= now_us:
-            due, device = heapq.heappop(heap)
-            queue = self._queues.get(device)
-            if (
-                queue is None
-                or not queue.order
-                or self._queue_due(queue) != due
-                or not self._is_live(device)
-            ):
-                continue  # stale (lazy deletion)
-            keep.append((due, device))
-            if device not in seen:
-                seen.add(device)
-                out.append(device)
-        for entry in keep:
-            heapq.heappush(heap, entry)
-        out.sort()
-        return out
+        """Partitions whose batches must flush at or before ``now_us``,
+        sorted.  Their obligations are consumed: the caller flushes (or
+        evicts) every partition returned."""
+        return sorted(self._due.pop_due(now_us))
 
     @property
     def stats(self) -> Dict[str, object]:

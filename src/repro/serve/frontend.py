@@ -20,8 +20,8 @@ Two notions of time coexist (see ``docs/serving.md``):
 The inner loop runs on the shared event core, :mod:`repro.sim.events`
 (phase order: ``docs/serving.md``, "Event phase order"): the arrival
 trace and crash schedule are cursors, recoveries and fleet boot/park
-instants are keyed timers, and batch-flush obligations come from the
-batcher's due heap, so one simulated second of open-loop traffic costs
+instants are keyed timers, and so are the batcher's batch-flush
+obligations, so one simulated second of open-loop traffic costs
 O(events · log n) host work.  The pre-heap implementation rebuilt an
 event list and re-scanned every pending queue per step, which was
 O(events · n); it survives verbatim as
@@ -102,7 +102,7 @@ FLEET_BOOTING = "booting"
 FLEET_DRAINING = "draining"
 FLEET_PARKED = "parked"
 
-#: Fleet states whose flush obligations are honoured by the batcher.
+#: Fleet states a flushed batch may execute in.
 _SERVABLE_STATES = (FLEET_LIVE, FLEET_DRAINING)
 
 
@@ -414,14 +414,12 @@ class ServingSystem:
                 self._fleet[name] = FLEET_PARKED
                 self.system.dispatcher.park(name)
         self.initial_live = tuple(live)
-        self.batcher.set_live_filter(self._batcher_live)
         if self._metrics.enabled:
             self._metrics.gauge("serve", "fleet_live").set(len(live))
 
-    def _batcher_live(self, device: str) -> bool:
-        """Live filter handed to the batcher: a parked or booting device
-        must never surface a flush obligation (the dead-device-resurrect
-        bug an elastic fleet would otherwise trip)."""
+    def _servable(self, device: str) -> bool:
+        """Whether a batch may execute on ``device``: always in a static
+        fleet, and in an elastic one only while live or draining."""
         fleet = self._fleet
         return fleet is None or fleet.get(device, FLEET_LIVE) in _SERVABLE_STATES
 
@@ -648,8 +646,8 @@ class ServingSystem:
         (only while arrivals remain) — or None."""
         t = self._down.peek()
         due = self.batcher.earliest_due()
-        if due is not None and (t is None or due[0] < t):
-            t = due[0]
+        if due is not None and (t is None or due < t):
+            t = due
         if self._fleet is not None:
             for timers in (self._boot_at, self._park_at):
                 at = timers.peek()
@@ -866,11 +864,10 @@ class ServingSystem:
         return getattr(span, "context", None)
 
     def _flush(self, device: str, *, reason: str = "due") -> None:
-        fleet = self._fleet
-        if fleet is not None and fleet.get(device, FLEET_LIVE) not in _SERVABLE_STATES:
-            # A stale flush obligation for a parked/booting partition must
-            # never resurrect it with a fresh worker: re-place the work on
-            # the surviving fleet (the drain path, minus the scrub).
+        if not self._servable(device):
+            # A flush obligation for a parked/booting partition must never
+            # resurrect it with a fresh worker: re-place the work on the
+            # surviving fleet (the drain path, minus the scrub).
             for request in self.batcher.evict(device):
                 self._place(request)
             return
@@ -1061,7 +1058,7 @@ class ServingSystem:
             worker.abandon()
         self.placer.mark_dirty(device)
         requeue = list(leftover)
-        if device in self._down or not self._batcher_live(device):
+        if device in self._down or not self._servable(device):
             requeue.extend(self.batcher.evict(device))
         for request in requeue:
             self.slo.record_requeued(request)

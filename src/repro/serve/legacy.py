@@ -19,14 +19,25 @@ Nothing else should use this module; it is deliberately not exported from
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dispatch.dispatcher import DispatchError, NoReadyPartition
 from repro.secure.partition import PartitionState
 from repro.serve.admission import Request
 from repro.serve.batcher import Batch
 from repro.serve.frontend import ServingReport, ServingSystem
-from repro.serve.placement import PartitionScore
+
+
+@dataclass(frozen=True)
+class PartitionScore:
+    """One candidate's scoring breakdown."""
+
+    device_name: str
+    live_contexts: int
+    queue_depth: int
+    reserved_bytes: int
+    score: float
 
 
 class ScanDeadlineBatcher:
@@ -49,18 +60,6 @@ class ScanDeadlineBatcher:
         self._pending: Dict[str, List[Tuple[float, Request]]] = {}
         self.batches_formed = 0
         self.requests_batched = 0
-        self._live: Optional[Callable[[str], bool]] = None
-        self.compactions = 0
-        """Always 0: the scan batcher has no due heap to compact."""
-
-    def set_live_filter(self, live: Optional[Callable[[str], bool]]) -> None:
-        """Same contract as the heap batcher: non-live devices never
-        surface flush obligations."""
-        self._live = live
-
-    def _is_live(self, device_name: str) -> bool:
-        live = self._live
-        return live is None or live(device_name)
 
     def add(self, device_name: str, request: Request, now_us: float) -> bool:
         pending = self._pending.setdefault(device_name, [])
@@ -72,9 +71,6 @@ class ScanDeadlineBatcher:
 
     def depths(self) -> Dict[str, int]:
         return {d: len(p) for d, p in self._pending.items() if p}
-
-    def pending_requests(self, device_name: str) -> List[Request]:
-        return [r for _, r in self._pending.get(device_name, ())]
 
     def evict(self, device_name: str) -> List[Request]:
         pending = self._pending.pop(device_name, [])
@@ -88,13 +84,8 @@ class ScanDeadlineBatcher:
         earliest_deadline = min(r.deadline_us for _, r in pending)
         return min(oldest + self.max_delay_us, earliest_deadline)
 
-    def earliest_due(self) -> Optional[Tuple[float, str]]:
-        due = [
-            (self.due_at(d), d)
-            for d, p in sorted(self._pending.items())
-            if p and self._is_live(d)
-        ]
-        due = [(t, d) for t, d in due if t is not None]
+    def earliest_due(self) -> Optional[float]:
+        due = [self.due_at(d) for d, p in sorted(self._pending.items()) if p]
         return min(due) if due else None
 
     def flush(
@@ -117,8 +108,6 @@ class ScanDeadlineBatcher:
     def due_partitions(self, now_us: float) -> List[str]:
         out = []
         for device_name in sorted(self._pending):
-            if not self._is_live(device_name):
-                continue
             due = self.due_at(device_name)
             if due is not None and due <= now_us:
                 out.append(device_name)
@@ -242,10 +231,6 @@ class LegacyServingSystem(ServingSystem):
             max_delay_us=self.batcher.max_delay_us,
         )
         self.placer = ScanSpatialPlacer(system.dispatcher)
-        if self._fleet is not None:
-            # The heap batcher got the live filter in _ensure_fleet; the
-            # scan batcher that just replaced it needs the same view.
-            self.batcher.set_live_filter(self._batcher_live)
 
     def run(
         self,
@@ -274,7 +259,7 @@ class LegacyServingSystem(ServingSystem):
                 events.append((crash_queue[ci][0], 2))
             due = self.batcher.earliest_due()
             if due is not None:
-                events.append((due[0], 3))
+                events.append((due, 3))
             if self._fleet is not None:
                 if self._boot_at:
                     events.append((min(t for _, t in self._boot_at.items()), 4))

@@ -18,15 +18,13 @@ are cached per device and recomputed only for devices in the dirty set
 plus one O(1) queue-depth lookup per candidate, instead of rescoring every
 partition through the attribute chains and sorting the result.  The
 floating-point evaluation order of the score is kept exactly as the full
-recompute's (``score``/``scores``, and the frozen scan placer in
-:mod:`repro.serve.legacy`), so incremental and full scoring are bit-equal;
-``audit_parity`` checks it.
+recompute's (the frozen scan placer in :mod:`repro.serve.legacy`), so
+incremental and full scoring are bit-equal; ``audit_parity`` checks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.dispatch.dispatcher import DispatchError, EnclaveDispatcher, NoReadyPartition
 from repro.secure.partition import PartitionState
@@ -37,20 +35,6 @@ WEIGHT_QUEUE = 0.25
 """Score per request already queued on the device."""
 WEIGHT_RESERVED_PER_GIB = 0.5
 """Score per GiB the device's mOS has reserved."""
-
-
-@dataclass(frozen=True)
-class PartitionScore:
-    """One candidate's scoring breakdown (kept for observability)."""
-
-    device_name: str
-    live_contexts: int
-    queue_depth: int
-    reserved_bytes: int
-    score: float
-
-
-DepthSource = Union[Mapping[str, int], Callable[[str], int]]
 
 
 class SpatialPlacer:
@@ -105,7 +89,7 @@ class SpatialPlacer:
         self._cached.pop(device_name, None)
         self._dirty.discard(device_name)
 
-    def audit_parity(self, queue_depths: DepthSource) -> List[str]:
+    def audit_parity(self, depth_of: Callable[[str], int]) -> List[str]:
         """Compare every clean cached score term against a fresh recompute.
 
         Returns divergence descriptions (empty means bit-exact parity
@@ -116,10 +100,6 @@ class SpatialPlacer:
         forgot to ``mark_dirty``.
         """
         self._sync()
-        if callable(queue_depths):
-            depth_of = queue_depths
-        else:
-            depth_of = lambda name: queue_depths.get(name, 0)  # noqa: E731
         problems: List[str] = []
         for name in sorted(self._cached):
             if name in self._dirty:
@@ -152,48 +132,17 @@ class SpatialPlacer:
         return self._cached[name]
 
     # -- scoring -----------------------------------------------------------
-    def score(self, mos, queue_depth: int) -> PartitionScore:
-        device = mos.partition.device
-        contexts = device.active_contexts() if hasattr(device, "active_contexts") else 0
-        reserved = mos.manager.reserved_bytes
-        value = (
-            WEIGHT_CONTEXTS * contexts
-            + WEIGHT_QUEUE * queue_depth
-            + WEIGHT_RESERVED_PER_GIB * (reserved / float(1 << 30))
-        )
-        return PartitionScore(
-            device_name=device.name,
-            live_contexts=contexts,
-            queue_depth=queue_depth,
-            reserved_bytes=reserved,
-            score=value,
-        )
-
-    def scores(
-        self, device_type: str, queue_depths: Mapping[str, int]
-    ) -> List[PartitionScore]:
-        """Scoring breakdown for every candidate (any state), sorted by
-        (score, device name) — the placement order.  Always a fresh
-        recompute (observability path, never the hot path)."""
-        out = [
-            self.score(m, queue_depths.get(m.partition.device.name, 0))
-            for m in self._dispatcher.moses()
-            if m.device_type == device_type
-        ]
-        return sorted(out, key=lambda s: (s.score, s.device_name))
-
     def place(
         self,
         request,
-        queue_depths: DepthSource,
+        depth_of: Callable[[str], int],
         *,
         is_ready: Optional[Callable[[object], bool]] = None,
     ):
         """Pick the mOS for ``request``; returns the chosen MicroOS.
 
-        ``queue_depths`` is either a mapping of device name to pending
-        count or an O(1) lookup callable (the frontend passes
-        ``batcher.depth`` so no per-placement dict is built).
+        ``depth_of`` is an O(1) device name -> queued requests lookup
+        (the frontend passes its batcher-plus-in-flight depth).
 
         ``is_ready`` lets the frontend overlay its own availability view
         (a partition inside its background-recovery window is READY in the
@@ -204,10 +153,6 @@ class SpatialPlacer:
         partition matches at all.
         """
         self._sync()
-        if callable(queue_depths):
-            depth_of = queue_depths
-        else:
-            depth_of = lambda name: queue_depths.get(name, 0)  # noqa: E731
         candidates = self._by_type.get(request.device_type, ())
         if request.device_name is not None:
             pinned = self._by_name.get(request.device_name)
@@ -236,7 +181,7 @@ class SpatialPlacer:
             if is_ready is not None and not is_ready(mos):
                 continue
             contexts_term, reserved_term, _, _ = self._terms(mos)
-            # Same FP evaluation order as `score`: (A + B) + C.
+            # The scan placer's FP evaluation order: (A + B) + C.
             name = mos.partition.device.name
             value = (
                 contexts_term + weight_queue * depth_of(name)

@@ -26,28 +26,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from repro.metrics.report import slo_table, token_slo_table
+from repro.obs.timeseries import exact_rank
 
 
 def nearest_rank(sorted_values: List[float], pct: float) -> float:
-    """The nearest-rank percentile (deterministic, no interpolation).
-
-    The rank is ``ceil(pct/100 * n)`` computed *exactly*: ``pct`` is read
-    as the decimal it prints as (``Fraction(str(pct))``), so non-integer
-    percentiles like 99.9 never pick up a one-off rank from binary
-    floating-point error (``99.9 * 1000 / 100`` is 999.0000000000001 in
-    floats; the old ``-(-pct * n // 100)`` trick then ceils to 1000).
-    """
+    """The nearest-rank percentile (deterministic, no interpolation)."""
     if not sorted_values:
         return 0.0
-    n = len(sorted_values)
-    frac = Fraction(str(pct))
-    rank = -((-n * frac.numerator) // (100 * frac.denominator))
-    rank = max(1, min(n, rank))
-    return sorted_values[rank - 1]
+    return sorted_values[exact_rank(len(sorted_values), pct) - 1]
 
 
 def _earliest(a: Optional[float], b: Optional[float]) -> Optional[float]:
@@ -143,6 +132,7 @@ class SLOAccount:
 
     def row(self) -> Dict[str, object]:
         """One rendered table row (fixed formatting → byte-stable text)."""
+        latencies = sorted(self.latencies)
         return {
             "tenant": self.tenant,
             "offered": self.offered,
@@ -153,9 +143,9 @@ class SLOAccount:
             "requeued": self.requeued,
             "rejected": self.rejected_total,
             "reject_rate": f"{self.rejection_rate:.3f}",
-            "p50_us": f"{self.percentile(50):.1f}",
-            "p95_us": f"{self.percentile(95):.1f}",
-            "p99_us": f"{self.percentile(99):.1f}",
+            "p50_us": f"{nearest_rank(latencies, 50):.1f}",
+            "p95_us": f"{nearest_rank(latencies, 95):.1f}",
+            "p99_us": f"{nearest_rank(latencies, 99):.1f}",
             "goodput_rps": f"{self.goodput_rps:.3f}",
         }
 
@@ -167,14 +157,10 @@ class SLOAccount:
             return 0.0
         return self.tokens / (window / 1e6)
 
-    def ttft_percentile(self, pct: float) -> float:
-        return nearest_rank(sorted(self.ttft_us), pct)
-
-    def itl_percentile(self, pct: float) -> float:
-        return nearest_rank(sorted(self.itl_us), pct)
-
     def token_row(self) -> Dict[str, object]:
         """One rendered *token* table row (fixed formatting → byte-stable)."""
+        ttft = sorted(self.ttft_us)
+        itl = sorted(self.itl_us)
         return {
             "tenant": self.tenant,
             "sequences": self.sequences,
@@ -182,10 +168,10 @@ class SLOAccount:
             "preempted": self.preempted_sequences,
             "reprefills": self.reprefills,
             "tokens": self.tokens,
-            "ttft_p50_us": f"{self.ttft_percentile(50):.1f}",
-            "ttft_p99_us": f"{self.ttft_percentile(99):.1f}",
-            "itl_p50_us": f"{self.itl_percentile(50):.1f}",
-            "itl_p99_us": f"{self.itl_percentile(99):.1f}",
+            "ttft_p50_us": f"{nearest_rank(ttft, 50):.1f}",
+            "ttft_p99_us": f"{nearest_rank(ttft, 99):.1f}",
+            "itl_p50_us": f"{nearest_rank(itl, 50):.1f}",
+            "itl_p99_us": f"{nearest_rank(itl, 99):.1f}",
             "tokens_per_s": f"{self.tokens_per_s:.3f}",
         }
 

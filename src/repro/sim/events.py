@@ -5,8 +5,10 @@ timeline.  This module holds the three pieces they share:
 
 * :class:`Timers` — keyed timers (at most one due instant per key) on a
   min-heap with lazy deletion: rescheduling or cancelling a key leaves
-  its old heap entry behind, to be discarded when it surfaces.  Keys due
-  at the same instant pop in key order.
+  its old heap entry behind, to be discarded when it surfaces, and a
+  ``schedule`` that finds stale entries outnumbering live keys 3:1
+  rebuilds the heap, so ``len(heap) <= max(64, 4 * live keys)`` after
+  every schedule.  Keys due at the same instant pop in key order.
 * :class:`Cursor` — a schedule sorted up front (an arrival trace, a
   crash list), handed item by item to a handler in time order.
 * :func:`drive` — the loop.  Each step jumps to the earliest instant any
@@ -35,8 +37,13 @@ class Timers:
         self._heap: List[Tuple[float, Hashable]] = []
 
     def schedule(self, key: Hashable, at: float) -> None:
-        self._due[key] = at
-        heapq.heappush(self._heap, (at, key))
+        due, heap = self._due, self._heap
+        due[key] = at
+        heapq.heappush(heap, (at, key))
+        if len(heap) > 64 and len(heap) > 4 * len(due):
+            # In place: a ``pop_due`` pass in progress holds this list.
+            heap[:] = [(t, k) for k, t in due.items()]
+            heapq.heapify(heap)
 
     def cancel(self, key: Hashable) -> None:
         self._due.pop(key, None)

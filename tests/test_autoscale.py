@@ -10,10 +10,11 @@ Four claims are on trial here:
   brute-force :class:`FullHistoryWindow` reference produce bit-identical
   snapshots, and a whole serving run under either produces byte-identical
   fingerprints and decision streams.
-* **Heap hardening** — the batcher's lazy-deleted due-heap stays
-  O(live queues) under deadline-tightening churn (the unbounded-growth
-  bugfix), and a crashed-then-retired device's stale due entries never
-  resurrect it (the dead-device-resurrect bugfix).
+* **Fleet hardening** — every batcher add targets a live device, so no
+  parked or booting device ever holds queued work; a flush obligation
+  that does reach a parked device re-places its work instead of
+  resurrecting the device, and so does a crashed-then-retired device's
+  (the dead-device-resurrect bugfix).
 * **Accounting** — device-seconds integrate live intervals exactly, and
   the elastic fleet spends less than the static one on a trough-heavy
   profile.
@@ -70,10 +71,39 @@ def build(cls, specs, **kwargs):
     return serving
 
 
+def pin_adds_to_live_devices(serving):
+    """Wrap ``serving.batcher.add``: every add must target a live device,
+    and no parked or booting device may hold queued work.  Returns the
+    list of devices added to (filled in as the run goes)."""
+    add = serving.batcher.add
+    added = []
+
+    def checked_add(device, request, now_us):
+        states = serving.fleet_states()
+        assert states[device] == "live", (device, states[device], now_us)
+        added.append(device)
+        full = add(device, request, now_us)
+        assert_no_idle_work(serving)
+        return full
+
+    serving.batcher.add = checked_add
+    return added
+
+
+def assert_no_idle_work(serving):
+    for device, state in serving.fleet_states().items():
+        if state in ("parked", "booting"):
+            assert serving.batcher.depth(device) == 0, (device, state)
+
+
 def autoscaled_run(profile=PROFILE, policy=POLICY, **kwargs):
     specs, trace = generate_trace(profile)
     serving = build(ServingSystem, specs, autoscaler=policy, **kwargs)
-    return serving, serving.run(list(trace)), specs, trace
+    added = pin_adds_to_live_devices(serving)
+    report = serving.run(list(trace))
+    assert added
+    assert_no_idle_work(serving)
+    return serving, report, specs, trace
 
 
 def observable(report):
@@ -103,12 +133,16 @@ def test_scale_schedule_replays_identically_on_both_engines(seed):
     assert schedule and all(a in ("boot", "retire") for _, a, _ in schedule)
     original = observable(report)
     for cls in (ServingSystem, LegacyServingSystem):
-        replayed = build(
+        replaying = build(
             cls,
             specs,
             initial_live=list(report.initial_live),
             boot_delay_us=serving.boot_delay_us,
-        ).run(list(trace), scale_events=schedule)
+        )
+        added = pin_adds_to_live_devices(replaying)
+        replayed = replaying.run(list(trace), scale_events=schedule)
+        assert added
+        assert_no_idle_work(replaying)
         assert observable(replayed) == original, cls.__name__
 
 
@@ -192,29 +226,6 @@ def _request(rid, arrival_us, deadline_us, tenant="t0"):
     )
 
 
-def test_due_heap_stays_bounded_under_tightening_churn():
-    """The unbounded-growth bugfix: every add that tightens a device's due
-    time pushes a fresh heap entry; 100k arrivals with ever-tighter
-    deadlines must not leave 100k entries behind."""
-    batcher = DeadlineBatcher(max_batch=10**9, max_delay_us=10**9)
-    devices = [f"gpu{i}" for i in range(4)]
-    horizon = 1e9
-    for i in range(100_000):
-        # Deadlines strictly tighten, so every add used to strand one
-        # more stale entry in the due heap.
-        deadline = horizon - i
-        batcher.add(devices[i % len(devices)], _request(f"r{i}", 0.0, deadline), 0.0)
-    live_queues = len([d for d in devices if batcher.depth(d)])
-    assert live_queues == 4
-    assert len(batcher._due_heap) <= max(64, 4 * live_queues)
-    assert batcher.compactions > 0
-    # The heap still answers correctly after compaction: the tightest
-    # deadline seen is the earliest due obligation.
-    due = batcher.earliest_due()
-    assert due is not None
-    assert due[0] == horizon - 99_999
-
-
 def test_due_heap_compaction_preserves_flush_order():
     churn = DeadlineBatcher(max_batch=10**9, max_delay_us=10**9)
     plain = DeadlineBatcher(max_batch=10**9, max_delay_us=10**9)
@@ -222,9 +233,33 @@ def test_due_heap_compaction_preserves_flush_order():
         request = _request(f"r{i}", 0.0, 1e6 - i)
         churn.add(f"gpu{i % 3}", request, 0.0)
         plain.add(f"gpu{i % 3}", request, 0.0)
-    assert churn.compactions > 0
     assert churn.earliest_due() == plain.earliest_due()
     assert churn.due_partitions(1e6) == plain.due_partitions(1e6)
+
+
+def test_flush_due_on_a_parked_device_replaces_its_work():
+    """The one guard left: a flush obligation that reaches a parked
+    device re-places its request on the live fleet, where it completes
+    exactly once, and the parked device never gets a worker."""
+    specs, trace = generate_trace(PROFILE)
+    serving = build(ServingSystem, specs, initial_live=["gpu0", "gpu1"])
+    assert serving.fleet_states()["gpu3"] == "parked"
+    request = next(r for r in trace if r.deadline_us > r.arrival_us + 20_000.0)
+    assert serving.offer(request).admitted
+    for device in serving.batcher.depths():
+        assert serving.batcher.evict(device) == [request]
+    serving.batcher.add("gpu3", request, request.arrival_us)
+    due = serving.batcher.due_at("gpu3")
+    assert due == request.arrival_us + 5_000.0
+    serving.advance(due + 1.0)
+    serving.flush_due(due + 1.0)
+    assert serving.batcher.depth("gpu3") == 0
+    assert sum(serving.batcher.depths().values()) == 1
+    report = serving.run([])
+    assert list(report.completed) == [request.rid]
+    assert report.audit_exactly_once() == []
+    assert report.fleet_states["gpu3"] == "parked"
+    assert "gpu3" not in serving._workers
 
 
 def test_crash_then_retire_never_resurrects_the_device():
@@ -237,11 +272,14 @@ def test_crash_then_retire_never_resurrects_the_device():
     serving = build(ServingSystem, specs, initial_live=["gpu0", "gpu1"])
     victim = serving.initial_live[-1]
     crash_at = trace[len(trace) // 4].arrival_us
+    added = pin_adds_to_live_devices(serving)
     report = serving.run(
         list(trace),
         crash_events=[(crash_at, victim)],
         scale_events=[(crash_at + 1.0, "retire", victim)],
     )
+    assert added
+    assert_no_idle_work(serving)
     assert report.audit_exactly_once() == []
     assert report.crashes == (victim,)
     assert report.fleet_states[victim] == "parked"

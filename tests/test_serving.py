@@ -193,7 +193,7 @@ class TestDeadlineBatcher:
         assert batcher.due_at("gpu0") == 3_000.0  # oldest + max_delay
         batcher.add("gpu0", request("r-1", deadline=1_500.0), 1_200.0)
         assert batcher.due_at("gpu0") == 1_500.0  # deadline pressure wins
-        assert batcher.earliest_due() == (1_500.0, "gpu0")
+        assert batcher.earliest_due() == 1_500.0
 
     def test_evict_for_crash_requeue(self):
         batcher = DeadlineBatcher(max_batch=8)
@@ -215,31 +215,37 @@ class TestDeadlineBatcher:
         }
 
 
+def depths(queued):
+    """The placer's depth callable over a device -> queued mapping."""
+    return lambda name: queued.get(name, 0)
+
+
 class TestSpatialPlacer:
     def test_pinning_and_unknown_device(self, cronus2gpu):
         placer = SpatialPlacer(cronus2gpu.dispatcher)
-        mos = placer.place(request(device_name="gpu1"), {})
+        mos = placer.place(request(device_name="gpu1"), depths({}))
         assert mos.partition.device.name == "gpu1"
         with pytest.raises(DispatchError, match="gpu9"):
-            placer.place(request(device_name="gpu9"), {})
+            placer.place(request(device_name="gpu9"), depths({}))
 
     def test_queue_depth_steers_placement(self, cronus2gpu):
         placer = SpatialPlacer(cronus2gpu.dispatcher)
         # Equal scores tie-break on device name.
-        assert placer.place(request(), {}).partition.device.name == "gpu0"
+        assert placer.place(request(), depths({})).partition.device.name == "gpu0"
         assert (
-            placer.place(request(), {"gpu0": 4}).partition.device.name == "gpu1"
+            placer.place(request(), depths({"gpu0": 4})).partition.device.name
+            == "gpu1"
         )
 
     def test_no_ready_partition_parks_not_fails(self, cronus2gpu):
         placer = SpatialPlacer(cronus2gpu.dispatcher)
         down = {"gpu0"}
         is_ready = lambda m: m.partition.device.name not in down
-        mos = placer.place(request(), {}, is_ready=is_ready)
+        mos = placer.place(request(), depths({}), is_ready=is_ready)
         assert mos.partition.device.name == "gpu1"
         down.add("gpu1")
         with pytest.raises(NoReadyPartition):
-            placer.place(request(), {}, is_ready=is_ready)
+            placer.place(request(), depths({}), is_ready=is_ready)
 
 
 class TestSLOMath:

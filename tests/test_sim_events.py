@@ -19,14 +19,22 @@ OPS = st.lists(
 )
 
 
-@given(OPS)
+#: More reschedules than the 64-entry floor, so the heap rebuild runs.
+CHURN = st.lists(st.tuples(st.just("schedule"), KEYS, TIMES), min_size=65, max_size=100)
+
+
+@given(CHURN, OPS)
 @settings(max_examples=200, deadline=None)
-def test_timers_match_a_dict_reference(ops):
+def test_timers_match_a_dict_reference(churn, ops):
     """Schedule / reschedule / cancel / pop-due against dict + min():
-    pop order is (due, key), so same-instant ties break by key."""
+    pop order is (due, key), so same-instant ties break by key.  The
+    churn prefix overflows the stale-entry bound, so the heap is rebuilt
+    before the mixed operations run."""
     timers = Timers()
     reference = {}
-    for op in ops:
+    for i, op in enumerate(churn + ops):
+        if i == len(churn):
+            assert len(timers._heap) <= max(64, 4 * len(reference))
         if op[0] == "schedule":
             _, key, at = op
             timers.schedule(key, at)
@@ -47,6 +55,39 @@ def test_timers_match_a_dict_reference(ops):
         for key in "abcd":
             assert (key in timers) == (key in reference)
             assert timers.get(key) == reference.get(key)
+
+
+def test_heap_stays_bounded_under_tightening_churn():
+    """Every reschedule strands the key's old heap entry; 100k tightening
+    reschedules on 4 keys must not leave 100k entries behind, and the
+    earliest instant survives the rebuilds."""
+    timers = Timers()
+    keys = [f"gpu{i}" for i in range(4)]
+    horizon = 1e9
+    for i in range(100_000):
+        timers.schedule(keys[i % len(keys)], horizon - i)
+    assert len(timers) == 4
+    assert len(timers._heap) <= max(64, 4 * len(timers))
+    assert timers.peek() == horizon - 99_999
+    assert list(timers.pop_due(horizon)) == ["gpu3", "gpu2", "gpu1", "gpu0"]
+
+
+def test_rebuild_mid_pass_keeps_the_pass():
+    """A schedule that rebuilds the heap while ``pop_due`` iterates: the
+    pass still sees every key due by its instant, in (due, key) order."""
+    timers = Timers()
+    for key in "abc":
+        timers.schedule(key, 1.0)
+    seen = []
+    for key in timers.pop_due(1.0):
+        seen.append(key)
+        if key == "a":
+            for i in range(100):
+                timers.schedule("z", 10.0 - i * 0.01)
+            timers.schedule("d", 0.5)
+    assert seen == ["a", "d", "b", "c"]
+    assert dict(timers.items()) == {"z": 10.0 - 99 * 0.01}
+    assert len(timers._heap) <= 64
 
 
 def test_pop_due_sees_changes_made_mid_pass():
