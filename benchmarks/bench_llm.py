@@ -142,8 +142,8 @@ def run_point(config, mode, sequences, *, crash_events=()):
         "ttft_p99_us": aggregate_percentile(accounts, "ttft_us", 99),
         "itl_p50_us": aggregate_percentile(accounts, "itl_us", 50),
         "itl_p99_us": aggregate_percentile(accounts, "itl_us", 99),
-        "token_fingerprint": engine.slo.token_fingerprint(),
-        "slo_fingerprint": engine.slo.fingerprint(),
+        "token_fingerprint": report.token_fingerprint,
+        "slo_fingerprint": report.slo_fingerprint,
     }
     return row, report
 

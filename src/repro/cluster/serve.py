@@ -39,7 +39,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster, ClusterError, ClusterNode
 from repro.cluster.images import ImageRegistry
@@ -47,6 +47,7 @@ from repro.cluster.migrate import MigrationManager, MigrationRecord
 from repro.metrics.report import format_table
 from repro.serve.admission import Request
 from repro.serve.frontend import ServingReport, ServingSystem
+from repro.serve.ledger import exactly_once_violations
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import TenantSpec
 from repro.sim.events import Cursor, Phase, Timers, drive
@@ -181,40 +182,10 @@ class ClusterReport:
     def audit_exactly_once(self) -> List[str]:
         """The cluster-wide exactly-once audit: every admitted rid reaches
         exactly one terminal state on exactly one node."""
-        problems: List[str] = []
-        admitted: Set[str] = set()
-        expired: Set[str] = set()
-        rejected_after: Set[str] = set()
-        completed_on: Dict[str, List[str]] = {}
-        duplicates_avoided = 0
-        for name in self.node_names:
-            rep = self.per_node[name]
-            admitted |= rep.admitted
-            expired |= rep.expired
-            rejected_after |= rep.rejected_after_admit
-            duplicates_avoided += rep.duplicates_avoided
-            for rid in rep.completed:
-                completed_on.setdefault(rid, []).append(name)
-        completed = set(completed_on)
-        for rid in sorted(completed_on):
-            nodes = completed_on[rid]
-            if len(nodes) > 1:
-                problems.append(f"{rid}: completed on {len(nodes)} nodes {nodes}")
-        for rid in sorted(completed & expired):
-            problems.append(f"{rid}: both completed and expired")
-        terminal = completed | expired | rejected_after
-        lost = admitted - terminal
-        if self.orphaned:
-            problems.append(f"{self.orphaned} migrated request(s) orphaned")
-        for rid in sorted(lost):
-            problems.append(f"{rid}: admitted but never completed nor expired")
-        for rid in sorted(completed - admitted):
-            problems.append(f"{rid}: completed without admission")
-        if duplicates_avoided:
-            problems.append(
-                f"{duplicates_avoided} completed request(s) were re-queued"
-            )
-        return problems
+        duplicates = sum(rep.duplicates_avoided for rep in self.per_node.values())
+        return exactly_once_violations(
+            self.per_node, duplicates_avoided=duplicates, orphaned=self.orphaned
+        )
 
     def node_table(self) -> str:
         """A per-node summary table (the CLI's scale view)."""
@@ -282,10 +253,9 @@ class ClusterServingSystem:
             if telemetry is not None:
                 # Per-node attach: every scraped key carries node=<name>,
                 # and the node's completion paths feed its tail sampler.
-                source = telemetry.attach(
+                serving.ledger.source = telemetry.attach(
                     node.system, slo=serving.slo, node=node.name
                 )
-                serving.bind_telemetry(source)
             self._states[node.name] = NodeState(node, index, serving)
         self._by_index: List[NodeState] = list(self._states.values())
         self._node_due = Timers()

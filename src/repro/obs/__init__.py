@@ -147,12 +147,9 @@ def collect_system_metrics(system, *, node=None, into=None) -> "MetricsRegistry"
             )
             smmu_table = platform.smmu.table_for(partition.device.name)
             smmu_table.absorb_into(target)
+        grants_total, grants_active = spm.grant_counts()
         target.absorb(
-            "spm",
-            {
-                "grants_total": len(spm._grants),
-                "grants_active": sum(1 for g in spm._grants if g.active),
-            },
+            "spm", {"grants_total": grants_total, "grants_active": grants_active}
         )
     for device in platform.devices():
         layer = f"device:{device.name}"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 Number = Union[int, float]
@@ -81,38 +82,20 @@ class Histogram:
     ``bounds`` are the inclusive upper edges; one overflow bucket catches
     everything above the last bound.  Bounds are fixed at creation so the
     snapshot layout never depends on the data.
-
-    With ``track_range=True`` the histogram additionally counts
-    out-of-range observations explicitly — values above the last bound
-    as ``overflow`` (the ``+Inf`` bucket) and negative values as
-    ``underflow`` — instead of letting them vanish indistinguishably
-    into the trailing/leading fixed buckets.  The extra fields appear in
-    :meth:`render` and the registry snapshot *only* when the flag is on,
-    so every pre-existing fingerprint stays byte-identical.
     """
 
     kind = "histogram"
-    __slots__ = ("bounds", "counts", "total", "count", "track_range", "overflow", "underflow")
+    __slots__ = ("bounds", "counts", "total", "count")
 
-    def __init__(
-        self, bounds: Tuple[float, ...] = DEFAULT_BUCKETS, *, track_range: bool = False
-    ) -> None:
+    def __init__(self, bounds: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         if not bounds or list(bounds) != sorted(bounds):
             raise MetricError(f"histogram bounds must be sorted and non-empty: {bounds!r}")
         self.bounds = tuple(float(b) for b in bounds)
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.total = 0.0
         self.count = 0
-        self.track_range = track_range
-        self.overflow = 0
-        self.underflow = 0
 
     def observe(self, value: Number) -> None:
-        if self.track_range:
-            if value > self.bounds[-1]:
-                self.overflow += 1
-            elif value < 0:
-                self.underflow += 1
         self.counts[bisect_right(self.bounds, value)] += 1
         self.total += value
         self.count += 1
@@ -122,10 +105,7 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def render(self) -> str:
-        base = f"count={self.count} sum={_fmt(round(self.total, 3))} mean={_fmt(round(self.mean, 3))}"
-        if self.track_range:
-            base += f" +Inf={self.overflow} underflow={self.underflow}"
-        return base
+        return f"count={self.count} sum={_fmt(round(self.total, 3))} mean={_fmt(round(self.mean, 3))}"
 
 
 class _NullInstrument:
@@ -166,6 +146,10 @@ class MetricsRegistry:
     def __init__(self, *, enabled: bool = False) -> None:
         self.enabled = enabled
         self._metrics: Dict[Tuple[str, str], Instrument] = {}
+        self.instruments: Mapping[Tuple[str, str], Instrument] = MappingProxyType(
+            self._metrics
+        )
+        """Read-only live view of every instrument, keyed ``(layer, name)``."""
 
     # -- instrument access -------------------------------------------------
     def _get(self, layer: str, name: str, factory, kind: str):
@@ -194,11 +178,8 @@ class MetricsRegistry:
         name: str,
         *,
         bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
-        track_range: bool = False,
     ) -> Histogram:
-        return self._get(
-            layer, name, lambda: Histogram(bounds, track_range=track_range), "histogram"
-        )
+        return self._get(layer, name, lambda: Histogram(bounds), "histogram")
 
     # -- legacy counter dicts ----------------------------------------------
     def absorb(self, layer: str, counters: Mapping[str, Number]) -> None:
@@ -218,16 +199,12 @@ class MetricsRegistry:
             metric = self._metrics[(layer, name)]
             key = f"{layer}/{name}"
             if isinstance(metric, Histogram):
-                hist: Dict[str, object] = {
+                out[key] = {
                     "count": metric.count,
                     "sum": round(metric.total, 6),
                     "buckets": list(metric.counts),
                     "bounds": list(metric.bounds),
                 }
-                if metric.track_range:
-                    hist["overflow"] = metric.overflow
-                    hist["underflow"] = metric.underflow
-                out[key] = hist
             else:
                 out[key] = metric.value
         return out

@@ -22,7 +22,8 @@ Determinism contract (see ``docs/observability.md``):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.flight import FLIGHT_CAPACITY, FlightRecorder
 
@@ -187,10 +188,23 @@ class SpanRecorder:
         """The innermost open span context, if any."""
         return self._stack[-1] if self._stack else None
 
-    def attach(self, context: Optional[SpanContext]):
+    @contextmanager
+    def attach(self, context: Optional[SpanContext]) -> Iterator[None]:
         """Context manager pushing a *foreign* context (e.g. a task's root
         span) so spans opened inside parent under it."""
-        return _Attached(self, context)
+        if not self.enabled or context is None:
+            yield
+            return
+        stack = self._stack
+        stack.append(context)
+        try:
+            yield
+        finally:
+            if context in stack:
+                # Tolerate spans abandoned by exceptions above us.
+                while stack:
+                    if stack.pop() is context:
+                        break
 
     # -- recording ---------------------------------------------------------
     def begin(
@@ -403,29 +417,3 @@ class SpanRecorder:
 
     def __len__(self) -> int:
         return len(self._spans) - self._lazy
-
-
-class _Attached:
-    """The ``attach`` context manager: push a foreign context, pop on exit."""
-
-    __slots__ = ("_recorder", "_context", "_pushed")
-
-    def __init__(self, recorder: SpanRecorder, context: Optional[SpanContext]) -> None:
-        self._recorder = recorder
-        self._context = context
-        self._pushed = False
-
-    def __enter__(self) -> "_Attached":
-        if self._recorder.enabled and self._context is not None:
-            self._recorder._stack.append(self._context)
-            self._pushed = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pushed:
-            stack = self._recorder._stack
-            if self._context in stack:
-                # Tolerate spans abandoned by exceptions above us.
-                while stack:
-                    if stack.pop() is self._context:
-                        break

@@ -143,7 +143,7 @@ class TimeSeriesStore:
     def scrape_registry(self, t_us: float, registry, *, node: Optional[str] = None) -> None:
         """One windowed snapshot of every instrument in ``registry``."""
         prefix = f"node={node}|" if node is not None else ""
-        metrics = registry._metrics
+        metrics = registry.instruments
         for layer, name in sorted(metrics):
             metric = metrics[(layer, name)]
             kind = metric.kind
@@ -183,7 +183,7 @@ class TimeSeriesStore:
         from repro.serve.slo import nearest_rank
 
         prefix = f"node={node}|" if node is not None else ""
-        accounts = tracker._accounts
+        accounts = tracker.accounts()
         cached = self._slo_sorted.get(prefix)
         if cached is None or cached[0] != len(accounts):
             cached = (len(accounts), sorted(accounts))

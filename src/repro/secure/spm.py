@@ -237,6 +237,10 @@ class SPM:
     def grants_involving(self, partition_name: str) -> List[ShareGrant]:
         return [g for g in self._grants if g.active and g.involves(partition_name)]
 
+    def grant_counts(self) -> Tuple[int, int]:
+        """(grants ever made, grants still active), for the metrics export."""
+        return len(self._grants), sum(1 for g in self._grants if g.active)
+
     def reclaim_grant(self, grant: ShareGrant) -> None:
         """Tear down a grant after the streams using it terminate."""
         if not grant.active:

@@ -20,6 +20,9 @@ package builds the serving subsystem on top of them:
   tenants → admission → batcher → placement → dispatcher → mEnclaves on a
   :class:`~repro.systems.cronus.CronusSystem`, surviving partition crashes
   mid-request with at-most-once completion.
+* :mod:`repro.serve.ledger` — the request ledger every engine settles
+  each admitted request through, and the one exactly-once audit every
+  report runs.
 * :mod:`repro.serve.slo` — per-tenant SLO accounting (latency percentiles,
   goodput, rejection/expiry counts) rendered by ``metrics.report``.
 * :mod:`repro.serve.loadgen` — seeded trace-driven load generation at

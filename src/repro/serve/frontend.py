@@ -50,9 +50,11 @@ partition crash mid-request surfaces as
 :class:`~repro.rpc.channel.SRPCPeerFailure`; the frontend re-queues every
 admitted-but-unfinished request — never a completed one — and re-places
 it on a surviving partition, or parks it until the crashed partition's
-background recovery window closes.  A completed-request registry makes
-completion **at-most-once**: each admitted request completes exactly once
-or is reported expired, never duplicated.
+background recovery window closes.  Every admission, re-queue and
+settlement goes through the engine's
+:class:`~repro.serve.ledger.RequestLedger`, which makes completion
+**at-most-once**: each admitted request completes, expires or is
+rejected after admission exactly once, never duplicated.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from repro.secure.spm import SPMError
 from repro.serve.admission import (
     AdmissionController,
     AdmissionDecision,
-    REJECT_NO_PARTITION,
     REJECT_QUEUE_FULL,
     Request,
 )
@@ -87,6 +88,7 @@ from repro.serve.autoscaler import (
     SCALE_UP,
 )
 from repro.serve.batcher import DeadlineBatcher
+from repro.serve.ledger import RequestLedger, exactly_once_violations
 from repro.serve.placement import SpatialPlacer
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import Tenant, TenantRegistry, TenantSpec
@@ -257,20 +259,9 @@ class ServingReport:
 
     def audit_exactly_once(self) -> List[str]:
         """At-most-once/no-loss audit; returns violation descriptions."""
-        out = []
-        overlap = set(self.completed) & self.expired
-        for rid in sorted(overlap):
-            out.append(f"{rid}: both completed and expired")
-        terminal = set(self.completed) | self.expired | self.rejected_after_admit
-        for rid in sorted(self.admitted - terminal):
-            out.append(f"{rid}: admitted but never completed nor expired")
-        for rid in sorted(set(self.completed) - self.admitted):
-            out.append(f"{rid}: completed without admission")
-        if self.duplicates_avoided:
-            out.append(
-                f"{self.duplicates_avoided} completed request(s) were re-queued"
-            )
-        return out
+        return exactly_once_violations(
+            {"node": self}, duplicates_avoided=self.duplicates_avoided
+        )
 
 
 class ServingSystem:
@@ -309,25 +300,19 @@ class ServingSystem:
         self._down = Timers()
         """device -> instant its crash-recovery window closes."""
         self._parked: List[Request] = []
-        self._admitted: Set[str] = set()
-        self._completed: Dict[str, float] = {}
-        self._expired: Set[str] = set()
-        self._rejected_after_admit: Set[str] = set()
         self._now = 0.0
         self.crashes: List[str] = []
         self.wrong_results = 0
         self.duplicates_avoided = 0
         self._obs = system.platform.obs
         self._metrics = system.platform.metrics
-        self._request_spans: Dict[str, object] = {}
-        """rid -> open request root span (serving virtual-time axis)."""
+        self.ledger = RequestLedger(self.admission, self.slo, self._obs)
         # -- telemetry pipeline (inert when None) --------------------------
         self.telemetry = telemetry
-        self._tel_source = None
         if telemetry is not None:
             # Owning engine: attach the underlying system (this enables
             # spans + metrics) and drive the scrape timer from run().
-            self._tel_source = telemetry.attach(system, slo=self.slo)
+            self.ledger.source = telemetry.attach(system, slo=self.slo)
         # -- elastic fleet state (inert when self._fleet is None) ----------
         if autoscaler is None:
             self.autoscaler: Optional[Autoscaler] = None
@@ -367,14 +352,6 @@ class ServingSystem:
     # -- tenants -----------------------------------------------------------
     def add_tenant(self, spec: TenantSpec) -> Tenant:
         return self.registry.register(spec)
-
-    # -- telemetry ---------------------------------------------------------
-    def bind_telemetry(self, source) -> None:
-        """Bind a cluster-owned :class:`~repro.obs.telemetry.TelemetrySource`
-        for completion/tail-sampling notifications.  Used when a
-        :class:`~repro.cluster.serve.ClusterServingSystem` owns the
-        pipeline and drives the scrape timer from its own loop."""
-        self._tel_source = source
 
     # -- the elastic fleet -------------------------------------------------
     def _ensure_fleet(self) -> None:
@@ -724,11 +701,11 @@ class ServingSystem:
         """Take over a request admitted on another node: its admitted state
         moves with it (no re-charge of the rate limiter), then it places —
         or, if its deadline passed in transit, expires — exactly once."""
-        self._admitted.add(request.rid)
+        self.ledger.admitted.add(request.rid)
         tenant = self.registry.get(request.tenant)
         tenant.in_flight += 1
         tenant.in_flight_bytes += request.memory_bytes
-        self.slo.record_requeued(request)
+        self.ledger.requeue(request)
         if request.deadline_us < self._now:
             self._expire(request)
         else:
@@ -749,45 +726,24 @@ class ServingSystem:
                 f"request {request.rid!r}: only device_type='gpu' is servable"
             )
         self.slo.record_offered(request)
-        span = NO_SPAN
-        if self._obs.enabled:
-            # Request roots live on the serving layer's *virtual* event
-            # axis, so every serve-span timestamp is passed explicitly —
-            # never read off the platform clock.
-            span = self._obs.begin(
-                "serve.request", category="serve", detached=True,
-                ts=request.arrival_us, rid=request.rid, tenant=request.tenant,
-                size=request.size, deadline_us=request.deadline_us,
-            )
+        span = self.ledger.begin(
+            "serve.request", request, size=request.size, deadline_us=request.deadline_us
+        )
         decision = self.admission.offer(request, request.arrival_us)
         scaler = self.autoscaler
         if not decision.admitted:
-            self.slo.record_rejected(request, decision.reason)
+            self.ledger.reject(request, decision.reason, span)
             if scaler is not None and decision.reason == REJECT_QUEUE_FULL:
                 # Queue-full is the admission signal the fleet can fix:
                 # the tenant's in-flight window is clogged with work
                 # waiting on capacity (rate-limit rejections are not).
                 scaler.observe_rejection(request.arrival_us)
-            self._obs.end(
-                span, ts=request.arrival_us, outcome="rejected",
-                reason=decision.reason,
-            )
-            if self._tel_source is not None and span.context is not None:
-                # Tail-sample the rejection trace away immediately: a
-                # one-span rejected trace is never worth its memory.
-                self._tel_source.request_done(
-                    span.context.trace_id, latency_us=0.0,
-                    outcome="rejected", tenant=request.tenant,
-                )
             if self._metrics.enabled:
                 self._metrics.counter("serve", "rejected").inc()
             return decision
-        self.slo.record_admitted(request)
-        self._admitted.add(request.rid)
+        self.ledger.admit(request, span)
         if scaler is not None:
             scaler.observe_arrival(request.arrival_us)
-        if span is not NO_SPAN:
-            self._request_spans[request.rid] = span
         if self._metrics.enabled:
             self._metrics.counter("serve", "admitted").inc()
         self._place(request)
@@ -833,35 +789,18 @@ class ServingSystem:
             if self._obs.enabled:
                 self._obs.event(
                     "serve.park", category="serve", ts=self._now,
-                    parent=self._request_context(request.rid), rid=request.rid,
+                    parent=self.ledger.context(request.rid), rid=request.rid,
                 )
             if self._metrics.enabled:
                 self._metrics.counter("serve", "parked").inc()
             return
         except DispatchError:
             # No partition manages such a device at all: terminal.
-            self.slo.record_rejected(request, REJECT_NO_PARTITION)
-            self.admission.settle(request)
-            self._rejected_after_admit.add(request.rid)
-            span = self._request_spans.pop(request.rid, NO_SPAN)
-            self._obs.end(
-                span, ts=self._now, outcome="rejected", reason=REJECT_NO_PARTITION,
-            )
-            if self._tel_source is not None and span.context is not None:
-                self._tel_source.request_done(
-                    span.context.trace_id,
-                    latency_us=self._now - request.arrival_us,
-                    outcome="failed",
-                    tenant=request.tenant,
-                )
+            self.ledger.reject_after_admit(request, self._now)
             return
         device = mos.partition.device.name
         if self.batcher.add(device, request, self._now):
             self._flush(device, reason="full")
-
-    def _request_context(self, rid: str):
-        span = self._request_spans.get(rid)
-        return getattr(span, "context", None)
 
     def _flush(self, device: str, *, reason: str = "due") -> None:
         if not self._servable(device):
@@ -917,7 +856,7 @@ class ServingSystem:
         if not crashed:
             worker.batches += 1
             for index, request in enumerate(batch.requests):
-                if request.rid in self._completed or request.rid in self._expired:
+                if self.ledger.settled(request.rid):
                     # At-most-once guard: a settled request never re-runs.
                     self.duplicates_avoided += 1
                     self.slo.record_duplicate_avoided(request)
@@ -937,7 +876,7 @@ class ServingSystem:
                     self._obs.record(
                         "serve.execute", category="serve",
                         start_us=exec_start, end_us=start + cum,
-                        parent=self._request_context(request.rid),
+                        parent=self.ledger.context(request.rid),
                         partition=partition, rid=request.rid,
                         batch_span=getattr(batch_span, "context", None)
                         and batch_span.context.span_id,
@@ -965,20 +904,12 @@ class ServingSystem:
             self._handle_worker_failure(device, leftover)
 
     def _complete(self, request: Request, completion_us: float, correct: bool) -> None:
-        self._completed[request.rid] = completion_us
         if not correct:
             self.wrong_results += 1
-        self.slo.record_completed(request, completion_us)
-        self.admission.settle(request)
-        span = self._request_spans.pop(request.rid, NO_SPAN)
-        self._obs.end(span, ts=completion_us, outcome="completed", correct=correct)
-        if self._tel_source is not None and span.context is not None:
-            self._tel_source.request_done(
-                span.context.trace_id,
-                latency_us=completion_us - request.arrival_us,
-                outcome="completed" if correct else "error",
-                tenant=request.tenant,
-            )
+        self.ledger.complete(
+            request, completion_us, sampled="completed" if correct else "error",
+            outcome="completed", correct=correct,
+        )
         if self._metrics.enabled:
             self._metrics.counter("serve", "completed").inc()
             self._metrics.histogram("serve", "latency_us").observe(
@@ -986,23 +917,12 @@ class ServingSystem:
             )
 
     def _expire(self, request: Request, *, device: Optional[str] = None) -> None:
-        self._expired.add(request.rid)
-        self.slo.record_expired(request)
-        self.admission.settle(request)
+        self.ledger.expire(request, self._now)
         if device is not None:
             # Settling releases the tenant's reserved bytes; the device it
             # was queued on must rescore or incremental placement diverges
             # from a full recompute (the expiry-path mark_dirty fix).
             self.placer.mark_dirty(device)
-        span = self._request_spans.pop(request.rid, NO_SPAN)
-        self._obs.end(span, ts=self._now, outcome="expired")
-        if self._tel_source is not None and span.context is not None:
-            self._tel_source.request_done(
-                span.context.trace_id,
-                latency_us=self._now - request.arrival_us,
-                outcome="expired",
-                tenant=request.tenant,
-            )
         if self._metrics.enabled:
             self._metrics.counter("serve", "expired").inc()
 
@@ -1061,16 +981,11 @@ class ServingSystem:
         if device in self._down or not self._servable(device):
             requeue.extend(self.batcher.evict(device))
         for request in requeue:
-            self.slo.record_requeued(request)
-            context = self._request_context(request.rid)
-            if self._tel_source is not None and context is not None:
-                # This trace crossed a crash: pin it in the tail sampler.
-                self._tel_source.note_recovery(context.trace_id)
+            context = self.ledger.requeue(request)
             if self._obs.enabled:
                 self._obs.event(
                     "serve.requeue", category="serve", ts=self._now,
-                    parent=context,
-                    rid=request.rid, from_device=device,
+                    parent=context, rid=request.rid, from_device=device,
                 )
             if self._metrics.enabled:
                 self._metrics.counter("serve", "requeued").inc()
@@ -1132,14 +1047,15 @@ class ServingSystem:
                         "generations": worker.generation,
                     },
                 )
+        slo_text = self.slo.table()
         return ServingReport(
-            slo_text=self.slo.table(),
-            fingerprint=self.slo.fingerprint(),
+            slo_text=slo_text,
+            fingerprint=hashlib.sha256(slo_text.encode()).hexdigest(),
             makespan_us=self._now,
-            admitted=set(self._admitted),
-            completed=dict(self._completed),
-            expired=set(self._expired),
-            rejected_after_admit=set(self._rejected_after_admit),
+            admitted=set(self.ledger.admitted),
+            completed=dict(self.ledger.completed),
+            expired=set(self.ledger.expired),
+            rejected_after_admit=set(self.ledger.rejected_after_admit),
             crashes=tuple(self.crashes),
             wrong_results=self.wrong_results,
             duplicates_avoided=self.duplicates_avoided,

@@ -27,6 +27,10 @@ inference frontend for the :mod:`repro.workloads.llm` workload:
   each mid-decode victim is **re-prefilled exactly once** on a surviving
   (or the recovered) partition.  Already-streamed tokens stand; decode
   resumes after the re-prefill.
+* **Settlement** goes through a :class:`~repro.serve.ledger.RequestLedger`,
+  as on the frontend: each admitted sequence finishes, expires or — when
+  its tenant is pinned to a device no partition manages — is rejected
+  after admission, exactly once.
 
 Time follows the frontend's dual-time doctrine: the engine runs a
 virtual event timeline (arrivals, iteration boundaries, crashes,
@@ -39,6 +43,7 @@ calibrated against the same GPU constants as the kernel timing model.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -48,11 +53,11 @@ import numpy as np
 
 from repro.dispatch.dispatcher import DispatchError, NoReadyPartition
 from repro.faults import injector as _faults
-from repro.obs.span import NO_SPAN
 from repro.rpc.channel import SRPCPeerFailure
 from repro.secure.spm import SPMError
 from repro.serve.admission import AdmissionController, AdmissionDecision, Request
 from repro.serve.batcher import ContinuousBatcher, MODE_CONTINUOUS
+from repro.serve.ledger import RequestLedger, exactly_once_violations
 from repro.serve.placement import SpatialPlacer
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import Tenant, TenantRegistry, TenantSpec
@@ -103,8 +108,6 @@ class SequenceState:
         "prefills",
         "reprefills",
         "victimized",
-        "finished",
-        "finish_us",
     )
 
     def __init__(self, request: LLMRequest) -> None:
@@ -117,8 +120,6 @@ class SequenceState:
         self.reprefills = 0
         self.victimized = 0
         """Times a crash destroyed this sequence's KV mid-decode."""
-        self.finished = False
-        self.finish_us = 0.0
 
     @property
     def context_len(self) -> int:
@@ -289,6 +290,8 @@ class LLMReport:
     streamer_stats: Dict[str, Dict[str, int]]
     completed: Dict[str, float] = field(default_factory=dict)
     admitted: Set[str] = field(default_factory=set)
+    expired: Set[str] = field(default_factory=set)
+    rejected_after_admit: Set[str] = field(default_factory=set)
     prefill_audit: Dict[str, Tuple[int, int, int]] = field(default_factory=dict)
     """rid -> (prefills, reprefills, victimized) for every admitted seq."""
 
@@ -301,17 +304,13 @@ class LLMReport:
     def audit(self) -> List[str]:
         """Invariant audit; returns violation descriptions (empty = clean).
 
-        * every admitted sequence finished or was reported expired;
+        * every admitted sequence settles exactly once (the shared
+          :func:`~repro.serve.ledger.exactly_once_violations` audit);
         * **exactly-once re-prefill**: each sequence prefilled once plus
           once per time it was victimized (never zero, never twice);
         * zero scrub violations and zero cross-sequence KV leaks.
         """
-        out: List[str] = []
-        terminal = self.sequences_finished + self.sequences_expired
-        if terminal != len(self.admitted):
-            out.append(
-                f"{len(self.admitted)} admitted but {terminal} terminal sequences"
-            )
+        out = exactly_once_violations({"node": self})
         for rid in sorted(self.prefill_audit):
             prefills, reprefills, victimized = self.prefill_audit[rid]
             if rid in self.completed and prefills != 1 + victimized:
@@ -360,22 +359,17 @@ class LLMEngine:
         self._down = Timers()
         """device -> instant its crash-recovery window closes."""
         self._parked: List[SequenceState] = []
-        self._admitted: Set[str] = set()
-        self._completed: Dict[str, float] = {}
-        self._expired: Set[str] = set()
         self._now = 0.0
         self.crashes: List[str] = []
         self.scrub_violations = 0
         self.iterations = 0
         self._obs = system.platform.obs
         self._metrics = system.platform.metrics
-        self._sequence_spans: Dict[str, object] = {}
-        """rid -> open sequence root span (virtual-time axis)."""
+        self.ledger = RequestLedger(self.admission, self.slo, self._obs)
         # -- telemetry pipeline (inert when None) --------------------------
         self.telemetry = telemetry
-        self._tel_source = None
         if telemetry is not None:
-            self._tel_source = telemetry.attach(
+            self.ledger.source = telemetry.attach(
                 system, slo=self.slo, extra=self._telemetry_extra
             )
 
@@ -384,11 +378,6 @@ class LLMEngine:
         return self.registry.register(spec)
 
     # -- telemetry ---------------------------------------------------------
-    def bind_telemetry(self, source) -> None:
-        """Bind an externally owned telemetry source (the owner drives
-        the scrapes); see :meth:`ServingSystem.bind_telemetry`."""
-        self._tel_source = source
-
     def _telemetry_extra(self) -> Dict[str, float]:
         """Cumulative safety counters scraped alongside the registry —
         these feed the scrub-violation and KV-leak burn-rate rules."""
@@ -428,25 +417,18 @@ class LLMEngine:
         self.slo.record_offered(request)
         decision = self.admission.offer(request, request.arrival_us)
         if not decision.admitted:
-            self.slo.record_rejected(request, decision.reason)
+            self.ledger.reject(request, decision.reason)
             if self._metrics.enabled:
                 self._metrics.counter("llm", "rejected").inc()
             return decision
-        self.slo.record_admitted(request)
+        span = self.ledger.begin(
+            "llm.sequence", request,
+            prompt=request.prompt_tokens, max_new=request.max_new_tokens,
+        )
+        self.ledger.admit(request, span)
         self.slo.record_sequence(request)
-        self._admitted.add(request.rid)
         sequence = SequenceState(request)
         self._sequences[request.rid] = sequence
-        if self._obs.enabled:
-            # Sequence roots live on the virtual event axis, like the
-            # frontend's request roots (timestamps passed explicitly).
-            span = self._obs.begin(
-                "llm.sequence", category="serve", detached=True,
-                ts=request.arrival_us, rid=request.rid, tenant=request.tenant,
-                prompt=request.prompt_tokens, max_new=request.max_new_tokens,
-            )
-            if span is not NO_SPAN:
-                self._sequence_spans[request.rid] = span
         if self._metrics.enabled:
             self._metrics.counter("llm", "sequences").inc()
         self._place(sequence)
@@ -464,6 +446,10 @@ class LLMEngine:
                     "llm.park", category="serve", ts=self._now,
                     rid=sequence.request.rid,
                 )
+            return
+        except DispatchError:
+            # No partition manages such a device at all: terminal.
+            self.ledger.reject_after_admit(sequence.request, self._now)
             return
         device = mos.partition.device.name
         sequence.device = device
@@ -557,26 +543,13 @@ class LLMEngine:
         now: float,
     ) -> None:
         request = sequence.request
-        sequence.finished = True
-        sequence.finish_us = now
         self.batcher.finish(device, sequence)
         cache.release(request.rid)
         streamer.flush()
-        self._completed[request.rid] = now
-        self.slo.record_completed(request, now)
-        self.slo.record_sequence_finished(request)
-        self.admission.settle(request)
-        span = self._sequence_spans.pop(request.rid, NO_SPAN)
-        self._obs.end(
-            span, ts=now, outcome="finished", tokens=sequence.tokens_emitted
+        self.ledger.complete(
+            request, now, outcome="finished", tokens=sequence.tokens_emitted
         )
-        if self._tel_source is not None and span.context is not None:
-            self._tel_source.request_done(
-                span.context.trace_id,
-                latency_us=now - request.arrival_us,
-                outcome="completed",
-                tenant=request.tenant,
-            )
+        self.slo.record_sequence_finished(request)
         if self._metrics.enabled:
             self._metrics.counter("llm", "finished").inc()
 
@@ -625,15 +598,7 @@ class LLMEngine:
             self._metrics.counter("llm", "crashes").inc()
         for sequence in victims:
             request = sequence.request
-            self.slo.record_requeued(request)
-            span = self._sequence_spans.get(request.rid)
-            if (
-                self._tel_source is not None
-                and span is not None
-                and span.context is not None
-            ):
-                # The sequence crossed a crash: pin it in the sampler.
-                self._tel_source.note_recovery(span.context.trace_id)
+            self.ledger.requeue(request)
             if not sequence.needs_prefill:
                 # Mid-decode victim: its KV died with the partition.  It
                 # owes exactly one re-prefill before decoding again.
@@ -685,19 +650,7 @@ class LLMEngine:
         # Parked sequences with no recovery pending can never decode
         # (every partition they may use is gone): report them expired.
         for sequence in self._parked:
-            request = sequence.request
-            self._expired.add(request.rid)
-            self.slo.record_expired(request)
-            self.admission.settle(request)
-            span = self._sequence_spans.pop(request.rid, NO_SPAN)
-            self._obs.end(span, ts=self._now, outcome="expired")
-            if self._tel_source is not None and span.context is not None:
-                self._tel_source.request_done(
-                    span.context.trace_id,
-                    latency_us=self._now - request.arrival_us,
-                    outcome="expired",
-                    tenant=request.tenant,
-                )
+            self.ledger.expire(sequence.request, self._now)
         self._parked.clear()
         if self.telemetry is not None:
             self.telemetry.scrape(self._now)
@@ -715,15 +668,17 @@ class LLMEngine:
         preempted = sum(a.preempted_sequences for a in accounts.values())
         reprefills = sum(a.reprefills for a in accounts.values())
         kv_leaks = sum(c.leaked_blocks for c in self._caches.values())
+        token_table = self.slo.token_table()
+        slo_table = self.slo.table()
         return LLMReport(
-            token_table=self.slo.token_table(),
-            token_fingerprint=self.slo.token_fingerprint(),
-            slo_table=self.slo.table(),
-            slo_fingerprint=self.slo.fingerprint(),
+            token_table=token_table,
+            token_fingerprint=hashlib.sha256(token_table.encode()).hexdigest(),
+            slo_table=slo_table,
+            slo_fingerprint=hashlib.sha256(slo_table.encode()).hexdigest(),
             makespan_us=self._now,
             total_tokens=total_tokens,
             sequences_finished=finished,
-            sequences_expired=len(self._expired),
+            sequences_expired=len(self.ledger.expired),
             sequences_preempted=preempted,
             reprefills=reprefills,
             crashes=tuple(self.crashes),
@@ -740,8 +695,10 @@ class LLMEngine:
                 }
                 for d, s in sorted(self._streamers.items())
             },
-            completed=dict(self._completed),
-            admitted=set(self._admitted),
+            completed=dict(self.ledger.completed),
+            admitted=set(self.ledger.admitted),
+            expired=set(self.ledger.expired),
+            rejected_after_admit=set(self.ledger.rejected_after_admit),
             prefill_audit={
                 rid: (seq.prefills, seq.reprefills, seq.victimized)
                 for rid, seq in sorted(self._sequences.items())

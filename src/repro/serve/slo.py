@@ -24,9 +24,9 @@ Token-serving workloads additionally record per-token latencies:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional
 
 from repro.metrics.report import slo_table, token_slo_table
 from repro.obs.timeseries import exact_rank
@@ -181,6 +181,7 @@ class SLOTracker:
 
     def __init__(self) -> None:
         self._accounts: Dict[str, SLOAccount] = {}
+        self._view: Mapping[str, SLOAccount] = MappingProxyType(self._accounts)
 
     def account(self, tenant: str) -> SLOAccount:
         if tenant not in self._accounts:
@@ -253,8 +254,9 @@ class SLOTracker:
             acct.itl_us.append(emit_us - prev_token_us)
 
     # -- export ------------------------------------------------------------
-    def accounts(self) -> Dict[str, SLOAccount]:
-        return dict(self._accounts)
+    def accounts(self) -> Mapping[str, SLOAccount]:
+        """Read-only live view of every tenant's account."""
+        return self._view
 
     def percentiles(self, pct: float = 99.0) -> Dict[str, float]:
         """tenant -> numeric nearest-rank latency percentile, every tenant
@@ -271,10 +273,6 @@ class SLOTracker:
             [self._accounts[name].row() for name in sorted(self._accounts)]
         )
 
-    def fingerprint(self) -> str:
-        """Digest of the table — byte-identical across same-seed runs."""
-        return hashlib.sha256(self.table().encode()).hexdigest()
-
     def token_table(self) -> str:
         """The per-tenant token SLO summary (TTFT/ITL/tokens-per-second),
         sorted by tenant name.  Separate from :meth:`table` so request-
@@ -282,7 +280,3 @@ class SLOTracker:
         return token_slo_table(
             [self._accounts[name].token_row() for name in sorted(self._accounts)]
         )
-
-    def token_fingerprint(self) -> str:
-        """Digest of the token table — byte-identical across replays."""
-        return hashlib.sha256(self.token_table().encode()).hexdigest()

@@ -114,7 +114,7 @@ class TestClusterServing:
         assert serving.router.steals == 0
         for ns in serving._states.values():
             # every rid admitted on a node belongs to a tenant homed there
-            for rid in ns.serving._admitted:
+            for rid in ns.serving.ledger.admitted:
                 tenant = rid.rsplit("-", 1)[0]
                 home = serving.router.home(
                     tenant, sorted(serving._states)

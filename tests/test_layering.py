@@ -2,7 +2,7 @@
 
 A cluster drives its nodes, and the gateway drives the cluster, through
 their public interfaces, the way mEnclaves meet only through sRPC; the
-serve, sim, hw, mos, enclave, crypto and metrics layers keep to the same
+serve, sim, hw, mos, enclave, crypto, metrics and obs layers keep to the same
 rule.  This test fails on any read or write of an ``_``-prefixed
 attribute of an object other than ``self`` or ``cls`` in those packages
 (dunders such as ``__name__`` are public protocol and allowed).
@@ -16,6 +16,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 GUARDED = (
     "cluster", "gateway", "serve", "sim", "hw", "mos", "enclave", "crypto", "metrics",
+    "obs",
 )
 
 

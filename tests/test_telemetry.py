@@ -14,8 +14,8 @@ The headline properties under test:
   (slow) retention bows to the deterministic byte budget, and healthy
   traces are reclaimed.
 
-Plus the satellites: histogram range tracking, node-prefixed cluster
-metric merges, and the flight-recorder/kill-path causality check.
+Plus the satellites: node-prefixed cluster metric merges and the
+flight-recorder/kill-path causality check.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.metric import Histogram
 from repro.obs.sampling import TailSampler
 from repro.obs.telemetry import TelemetryPipeline
 from repro.obs.timeseries import TimeSeriesStore, bucket_quantile
@@ -132,30 +131,6 @@ class TestTimeSeriesStore:
 
         assert build().fingerprint() == build().fingerprint()
         assert build().fingerprint() != build(extra=1).fingerprint()
-
-
-# -- satellite: histogram range tracking -------------------------------------
-
-class TestHistogramRange:
-    def test_default_histogram_does_not_track_range(self):
-        hist = Histogram(bounds=(10.0, 20.0))
-        hist.observe(-5.0)
-        hist.observe(99.0)
-        assert hist.track_range is False
-        assert hist.overflow == 0 and hist.underflow == 0
-        assert "overflow" not in hist.render()
-
-    def test_track_range_counts_inf_and_underflow(self):
-        hist = Histogram(bounds=(10.0, 20.0), track_range=True)
-        hist.observe(-5.0)
-        hist.observe(5.0)
-        hist.observe(99.0)
-        hist.observe(1_000.0)
-        assert hist.overflow == 2
-        assert hist.underflow == 1
-        assert hist.count == 4
-        rendered = hist.render()
-        assert "+Inf=2" in rendered and "underflow=1" in rendered
 
 
 # -- the alert engine --------------------------------------------------------
