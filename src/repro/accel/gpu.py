@@ -198,6 +198,11 @@ class GpuContext:
         """Join the stream: the caller waits for all enqueued kernels."""
         return self.stream.join()
 
+    def scrub(self) -> None:
+        """Zero every buffer in place (the A3 device clear)."""
+        for array in self._buffers.values():
+            array[...] = 0
+
     def destroy(self) -> None:
         """Release everything this tenant holds on the device."""
         for handle in list(self._buffers):
@@ -314,8 +319,7 @@ class GpuDevice(Device):
         """Scrub: destroy all contexts and report bytes cleared (A3)."""
         cleared = self.bytes_in_use
         for ctx in list(self._contexts.values()):
-            for handle in list(ctx._buffers):
-                ctx._buffers[handle][...] = 0
+            ctx.scrub()
             ctx.destroy()
         self.bytes_in_use = 0
         super().clear_state()

@@ -206,13 +206,12 @@ class MigrationManager:
         )
         self.records.append(record)
         obs = target.system.platform.obs
-        if obs.enabled:
-            obs.event(
-                "recovery.migrate-restore", ts=t_us, category="recovery",
-                partition=partition_name, tenant=tenant, source=source,
-                target=target.name, version=version, generation=generation,
-                pages=len(pages),
-            )
+        obs.event(
+            "recovery.migrate-restore", ts=t_us, category="recovery",
+            partition=partition_name, tenant=tenant, source=source,
+            target=target.name, version=version, generation=generation,
+            pages=len(pages),
+        )
         return record
 
     def blob_bytes(self, tenant: str) -> int:

@@ -399,14 +399,13 @@ class ClusterServingSystem:
         self.images.drop_node(name)  # also retires the cached candidate sets
         self.node_kills.append((self._now, name))
         obs = ns.node.system.platform.obs
-        if obs.enabled:
-            # One marker on the corpse's own recorder so the recovery
-            # trace attached to the node-death page is never empty, even
-            # when every partition was already mid-recovery.
-            obs.event(
-                "recovery.node-kill", ts=self._now, category="recovery",
-                node=name, harvested=len(unfinished),
-            )
+        # One marker on the corpse's own recorder so the recovery
+        # trace attached to the node-death page is never empty, even
+        # when every partition was already mid-recovery.
+        obs.event(
+            "recovery.node-kill", ts=self._now, category="recovery",
+            node=name, harvested=len(unfinished),
+        )
         # Each (tenant, image) group restores onto the tenant's rendezvous
         # home among the alive nodes holding that image; with none alive,
         # the group is orphaned.

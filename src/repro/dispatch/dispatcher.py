@@ -111,17 +111,15 @@ class EnclaveDispatcher:
             )
         choice = min(ready, key=lambda m: (m.manager.reserved_bytes, m.partition.name))
         platform = choice.platform
-        if platform.obs.enabled:
-            platform.obs.event(
-                "dispatch.route", category="dispatch",
-                partition=choice.partition.name,
-                device_type=device_type, device=choice.partition.device.name,
-            )
-        if platform.metrics.enabled:
-            platform.metrics.counter("dispatch", "routed").inc()
-            platform.metrics.counter(
-                "dispatch", f"routed_to:{choice.partition.name}"
-            ).inc()
+        platform.obs.event(
+            "dispatch.route", category="dispatch",
+            partition=choice.partition.name,
+            device_type=device_type, device=choice.partition.device.name,
+        )
+        platform.metrics.counter("dispatch", "routed").inc()
+        platform.metrics.counter(
+            "dispatch", f"routed_to:{choice.partition.name}"
+        ).inc()
         return choice
 
     def resources(self) -> Dict[str, Dict[str, object]]:

@@ -95,7 +95,7 @@ class PartitionedRuntime:
         timing charge.  Used by harnesses that model communication timing
         explicitly (e.g. the figure 11b all-reduce modes); never part of
         the modelled system."""
-        context = self._gpu_required().callee.enclave._state["context"]
+        context = self._gpu_required().callee.enclave.state["context"]
         return context.buffer(handle)
 
     def _gpu_required(self):

@@ -55,7 +55,9 @@ class MEnclave:
         self.eid = eid
         self.manifest = manifest
         self._model = model
-        self._state = state
+        self.state = state
+        """The model's live state; simulator harnesses may read it, the
+        modelled system reaches it only through mECalls."""
         self.measurement = measurement
         self.alive = True
         self.calls_served = 0
@@ -109,12 +111,12 @@ class MEnclave:
         if not self.manifest.allows(fn):
             raise ManifestError(f"mECall {fn!r} not in the manifest's static list")
         self.calls_served += 1
-        return self._model.me_call(self._state, fn, args, kwargs)
+        return self._model.me_call(self.state, fn, args, kwargs)
 
     # -- lifecycle ---------------------------------------------------------------
     def destroy(self) -> None:
         if self.alive:
-            self._model.me_destroy(self._state)
+            self._model.me_destroy(self.state)
             self.alive = False
 
     def is_synchronous(self, fn: str) -> bool:

@@ -36,6 +36,7 @@ from repro.faults import injector as _inj
 from repro.faults.injector import CRASH, CORRUPT, DROP, DUPLICATE, HANG, REORDER, FaultPlan, FaultRule
 from repro.faults.watchdog import Watchdog
 from repro.metrics.report import campaign_matrix, site_hit_table
+from repro.obs.span import NO_SPAN
 from repro.secure.partition import PartitionState
 from repro.secure.spm import RecoveryReport
 
@@ -194,23 +195,22 @@ class _MatmulTask:
         self.completions: List[float] = []
         self.resubmissions = 0
         self._obs = None
-        self._root = None  # the open attempt span (obs runs only)
+        self._root = NO_SPAN  # the open attempt span
         self._first_context = None  # attempt 1's context; resubmits link to it
 
     def start(self, system) -> None:
         obs = self._obs = system.platform.obs
-        if obs.enabled:
-            self._root = obs.begin(
-                f"task.{self.name}",
-                category="task",
-                parent=self._first_context,
-                detached=True,
-                gpu=self.device,
-                attempt=self.resubmissions + 1,
-            )
-            if self._first_context is None and self._root.context is not None:
-                self._first_context = self._root.context
-        with obs.attach(getattr(self._root, "context", None)):
+        self._root = obs.begin(
+            f"task.{self.name}",
+            category="task",
+            parent=self._first_context,
+            detached=True,
+            gpu=self.device,
+            attempt=self.resubmissions + 1,
+        )
+        if self._first_context is None:
+            self._first_context = self._root.context
+        with obs.attach(self._root.context):
             self.runtime = system.runtime(
                 cuda_kernels=("matmul",),
                 gpu_name=self.device,
@@ -224,7 +224,7 @@ class _MatmulTask:
     def iterate(self, system) -> bool:
         """One matmul + sync; returns False on a silently wrong result."""
         ha, hc = self.handles
-        with system.platform.obs.attach(getattr(self._root, "context", None)):
+        with system.platform.obs.attach(self._root.context):
             self.runtime.cudaLaunchKernel("matmul", [ha, ha, hc])
             out = self.runtime.cudaMemcpyD2H(hc)
         self.completions.append(system.clock.now)
@@ -236,9 +236,9 @@ class _MatmulTask:
 
     def abandon(self) -> None:
         """Drop the (failed) runtime; the next start is a resubmission."""
-        if self._obs is not None and self._root is not None:
+        if self._obs is not None:
             self._obs.end(self._root, outcome="abandoned")
-            self._root = None
+            self._root = NO_SPAN
         self.runtime = None
         self.handles = ()
         self.resubmissions += 1
@@ -321,7 +321,7 @@ def _tlb_violations(table) -> List[str]:
     from repro.hw.pagetable import PagePermission
 
     out = []
-    for (page, write), phys in table._tlb.items():
+    for (page, write), phys in table.tlb.items():
         entry = table.entry(page)
         if entry is None or not entry.valid or entry.phys_page != phys:
             out.append(f"{table.name}: TLB caches page {page:#x} without valid backing")
@@ -368,7 +368,7 @@ def check_invariants(
                 continue
             backed = any(
                 g.active and page in g.pages and g.involves(partition.name)
-                for g in spm._grants
+                for g in spm.grants
             )
             if not backed:
                 violations.append(
@@ -379,7 +379,7 @@ def check_invariants(
     # failure must be scrubbed once nobody owns them (A3).
     crashed_partitions = {f"part-{d}" for d in report.crashes}
     crashed_partitions.update(r.partition for r in report.recoveries)
-    for grant in spm._grants:
+    for grant in spm.grants:
         if grant.active or not any(grant.involves(p) for p in crashed_partitions):
             continue
         for page in grant.pages:

@@ -45,23 +45,22 @@ class FailoverTask:
     def start(self, system: CronusSystem) -> None:
         obs = system.platform.obs
         self.attempts += 1
-        if obs.enabled:
-            self.root = obs.begin(
-                f"task.{self.name}",
-                category="task",
-                parent=self.first_context,
-                detached=True,
-                gpu=self.gpu_name,
-                attempt=self.attempts,
-                **(
-                    {"resubmit_of": self.first_context.span_id}
-                    if self.first_context is not None
-                    else {}
-                ),
-            )
-            if self.first_context is None and self.root is not NO_SPAN:
-                self.first_context = self.root.context
-        with obs.attach(getattr(self.root, "context", None)):
+        self.root = obs.begin(
+            f"task.{self.name}",
+            category="task",
+            parent=self.first_context,
+            detached=True,
+            gpu=self.gpu_name,
+            attempt=self.attempts,
+            **(
+                {"resubmit_of": self.first_context.span_id}
+                if self.first_context is not None
+                else {}
+            ),
+        )
+        if self.first_context is None:
+            self.first_context = self.root.context
+        with obs.attach(self.root.context):
             self.runtime = system.runtime(
                 cuda_kernels=("matmul",), gpu_name=self.gpu_name, owner=self.name
             )
@@ -81,7 +80,7 @@ class FailoverTask:
         ha, hb, hc = self.handles
         obs = system.platform.obs
         try:
-            with obs.attach(getattr(self.root, "context", None)):
+            with obs.attach(self.root.context):
                 self.runtime.cudaLaunchKernel(
                     "matmul", [ha, hb, hc], sim_scale=self.sim_scale
                 )
@@ -170,9 +169,7 @@ def run_failover_experiment(
             # Capture the pre-crash context: the detect phase belongs to
             # the request that was active when the partition died, not to
             # whatever recovery span gets noted during fail_partition.
-            detect_parent = (
-                obs.partition_context(crash_partition) if obs.enabled else None
-            )
+            detect_parent = obs.partition_context(crash_partition)
             # Recovery runs in the SPM concurrently with the healthy
             # partition (background=True): the surviving task keeps
             # computing while gpu0's mOS clears and reloads.
@@ -196,19 +193,18 @@ def run_failover_experiment(
             ready_at = system.clock.now + recovery_us
             active["task-a"] = False
             task_a.crashed(system)
-            if obs.enabled:
-                # The detect phase of the figure-9 breakdown: zero-length
-                # for a panic (the SPM is trapped into synchronously), up
-                # to one watchdog interval for a hang.
-                obs.record(
-                    "recovery.detect",
-                    start_us=detect_start,
-                    end_us=detect_start + detection_us,
-                    category="recovery",
-                    parent=detect_parent,
-                    partition=crash_partition,
-                    mode=detection,
-                )
+            # The detect phase of the figure-9 breakdown: zero-length
+            # for a panic (the SPM is trapped into synchronously), up
+            # to one watchdog interval for a hang.
+            obs.record(
+                "recovery.detect",
+                start_us=detect_start,
+                end_us=detect_start + detection_us,
+                category="recovery",
+                parent=detect_parent,
+                partition=crash_partition,
+                mode=detection,
+            )
         progressed = False
         for task in tasks:
             if not active[task.name]:
@@ -231,16 +227,15 @@ def run_failover_experiment(
             task_a.start(system)
             resubmit_us = system.clock.now - t0
             active["task-a"] = True
-            if obs.enabled:
-                obs.record(
-                    "recovery.resubmit",
-                    start_us=t0,
-                    end_us=system.clock.now,
-                    category="recovery",
-                    parent=obs.partition_context(crash_partition),
-                    partition=crash_partition,
-                    task=task_a.name,
-                )
+            obs.record(
+                "recovery.resubmit",
+                start_us=t0,
+                end_us=system.clock.now,
+                category="recovery",
+                parent=obs.partition_context(crash_partition),
+                partition=crash_partition,
+                task=task_a.name,
+            )
         if not progressed and all(not a for a in active.values()):
             break
 

@@ -148,7 +148,7 @@ class Injection:
         """Length-preserving corruption: flip one seeded byte."""
         if not data:
             return data
-        rng = self._injector._rng
+        rng = self._injector.rng
         index = rng.randrange(len(data))
         out = bytearray(data)
         out[index] ^= 0xFF
@@ -171,7 +171,7 @@ class FaultInjector:
     ) -> None:
         self.plan = plan
         self.crash_handler = crash_handler
-        self._rng = random.Random(plan.seed)
+        self.rng = random.Random(plan.seed)
         self.site_hits: Dict[str, int] = {}
         self.fired: List[Tuple[str, int, str]] = []  # (site, hit index, rule)
         self._rules_by_site: Dict[str, List[FaultRule]] = {}
@@ -198,7 +198,7 @@ class FaultInjector:
             # Probabilistic rules consume RNG on *every* hit (even after a
             # match) so the schedule stays deterministic under replay.
             fired = rule.nth == hits if rule.nth is not None else (
-                self._rng.random() < rule.prob
+                self.rng.random() < rule.prob
             )
             if fired and chosen is None:
                 chosen = rule

@@ -31,7 +31,7 @@ from repro.gateway.registry import (
     default_registry,
 )
 from repro.gateway.workflow import Invocation, Workflow, WorkflowResult
-from repro.obs.span import NO_SPAN, SpanRecorder
+from repro.obs.span import SpanRecorder
 from repro.sim.clock import SimClock
 
 
@@ -130,7 +130,7 @@ class Gateway:
             end_us=end,
             service_us=float(service),
             result=result,
-            context=span.context if span is not NO_SPAN else None,
+            context=span.context,
         )
 
     def invoke_workflow(
@@ -142,7 +142,7 @@ class Gateway:
             f"workflow:{workflow.name}", category="gateway", detached=True,
             ts=start, partition="gateway", stages=len(workflow.stages),
         )
-        root_ctx = root.context if root is not NO_SPAN else None
+        root_ctx = root.context
         done: Dict[str, Invocation] = {}
         transfers = 0
         transfer_total = 0.0

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.obs.metric import MetricsRegistry
+
 PAGE_SIZE = 4096
 ZERO_PAGE = bytes(PAGE_SIZE)
 
@@ -36,10 +38,9 @@ class PhysicalMemory:
         self.size_bytes = size_bytes
         self._pages: Dict[int, bytearray] = {}
         self._tzasc = tzasc
-        # Optional observability hook installed by the Platform: scrub
-        # accounting for the recovery path (None until wired, and inert
-        # unless the registry is enabled).
-        self.metrics = None
+        # Scrub accounting for the recovery path: the Platform installs its
+        # registry here; the default disabled registry records nothing.
+        self.metrics = MetricsRegistry()
 
     # -- access -------------------------------------------------------
     def read(self, addr: int, length: int, *, world: str = SECURE_WORLD) -> bytes:
@@ -86,9 +87,8 @@ class PhysicalMemory:
             chunk = self._pages.get(page)
             if chunk is not None:
                 chunk[start:end] = b"\x00" * (end - start)
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.counter("memory", "zero_ranges").inc()
-            self.metrics.counter("memory", "zeroed_bytes").inc(length)
+        self.metrics.counter("memory", "zero_ranges").inc()
+        self.metrics.counter("memory", "zeroed_bytes").inc(length)
 
     def page_is_zero(self, page: int) -> bool:
         """True if the page has never been written or was scrubbed.

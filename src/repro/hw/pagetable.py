@@ -58,10 +58,12 @@ class PageTable:
     def __init__(self, name: str) -> None:
         self.name = name
         self._entries: Dict[int, PageTableEntry] = {}
-        # Simulated TLB: (virt_page, write) -> phys_page.  Hit/miss and
-        # maintenance counters are surfaced through ``tlb_stats`` so the
-        # wall-clock benchmarks can show the cache working, not assert it.
-        self._tlb: Dict[Tuple[int, bool], int] = {}
+        # Simulated TLB: (virt_page, write) -> phys_page.  Public so the
+        # partitions' fast lanes probe it with no method call; only this
+        # table mutates it.  Hit/miss and maintenance counters are surfaced
+        # through ``tlb_stats`` so the wall-clock benchmarks can show the
+        # cache working, not assert it.
+        self.tlb: Dict[Tuple[int, bool], int] = {}
         self.tlb_hits = 0
         self.tlb_misses = 0
         self.tlb_shootdowns = 0
@@ -71,14 +73,14 @@ class PageTable:
     def flush(self) -> None:
         """Drop every cached translation (full TLB flush, e.g. on mOS
         reload: the reborn partition must re-walk its stage-2 table)."""
-        if self._tlb:
-            self._tlb.clear()
+        if self.tlb:
+            self.tlb.clear()
         self.tlb_flushes += 1
 
     def shoot_down(self, virt_page: int) -> None:
         """Evict one page's cached lines (both the read and write ways)."""
-        evicted = self._tlb.pop((virt_page, False), None) is not None
-        evicted = (self._tlb.pop((virt_page, True), None) is not None) or evicted
+        evicted = self.tlb.pop((virt_page, False), None) is not None
+        evicted = (self.tlb.pop((virt_page, True), None) is not None) or evicted
         if evicted:
             self.tlb_shootdowns += 1
 
@@ -90,7 +92,7 @@ class PageTable:
             "misses": self.tlb_misses,
             "shootdowns": self.tlb_shootdowns,
             "flushes": self.tlb_flushes,
-            "cached": len(self._tlb),
+            "cached": len(self.tlb),
         }
 
     def absorb_into(self, registry) -> None:
@@ -138,7 +140,7 @@ class PageTable:
 
     def translate(self, virt_page: int, *, write: bool = False) -> int:
         """Resolve ``virt_page`` or raise :class:`PageFault`."""
-        phys_page = self._tlb.get((virt_page, write))
+        phys_page = self.tlb.get((virt_page, write))
         if phys_page is not None:
             self.tlb_hits += 1
             return phys_page
@@ -166,7 +168,7 @@ class PageTable:
                 table=self.name,
                 invalidated=False,
             )
-        self._tlb[(virt_page, write)] = entry.phys_page
+        self.tlb[(virt_page, write)] = entry.phys_page
         return entry.phys_page
 
     def entry(self, virt_page: int) -> Optional[PageTableEntry]:

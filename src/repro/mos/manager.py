@@ -76,14 +76,12 @@ class EnclaveManager:
         self._enclaves[eid] = enclave
         self._reserved_bytes += manifest.memory_bytes
         mos.platform.tracer.emit("manager", "create-enclave", f"{eid:#010x} on {mos.name}")
-        if mos.platform.obs.enabled:
-            mos.platform.obs.event(
-                "enclave.create", category="enclave",
-                partition=mos.partition.name, enclave=f"{eid:#010x}",
-                device_type=manifest.device_type,
-            )
-        if mos.platform.metrics.enabled:
-            mos.platform.metrics.counter("enclave", "created").inc()
+        mos.platform.obs.event(
+            "enclave.create", category="enclave",
+            partition=mos.partition.name, enclave=f"{eid:#010x}",
+            device_type=manifest.device_type,
+        )
+        mos.platform.metrics.counter("enclave", "created").inc()
         return enclave
 
     def destroy(self, eid: int) -> None:
@@ -92,19 +90,17 @@ class EnclaveManager:
         self._reserved_bytes -= enclave.manifest.memory_bytes
         del self._enclaves[eid]
         platform = self._mos.platform
-        if platform.obs.enabled:
-            obs = platform.obs
-            name = self._mos.partition.name
-            # On the failure path there is no open span: chain under the
-            # partition's last activity so teardown stays in the trace of
-            # the request that was running when the partition died.
-            obs.event(
-                "enclave.destroy", category="enclave",
-                parent=obs.current() or obs.partition_context(name),
-                partition=name, enclave=f"{eid:#010x}",
-            )
-        if platform.metrics.enabled:
-            platform.metrics.counter("enclave", "destroyed").inc()
+        obs = platform.obs
+        name = self._mos.partition.name
+        # On the failure path there is no open span: chain under the
+        # partition's last activity so teardown stays in the trace of
+        # the request that was running when the partition died.
+        obs.event(
+            "enclave.destroy", category="enclave",
+            parent=obs.current() or obs.partition_context(name),
+            partition=name, enclave=f"{eid:#010x}",
+        )
+        platform.metrics.counter("enclave", "destroyed").inc()
 
     def destroy_all(self) -> None:
         """Tear down every enclave (partition failure path)."""

@@ -98,10 +98,6 @@ class _NodePrefixed:
         self._registry = registry
         self._prefix = f"node={node}:"
 
-    @property
-    def enabled(self) -> bool:
-        return self._registry.enabled
-
     def counter(self, layer, name):
         return self._registry.counter(self._prefix + layer, name)
 
@@ -147,9 +143,9 @@ def collect_system_metrics(system, *, node=None, into=None) -> "MetricsRegistry"
             )
             smmu_table = platform.smmu.table_for(partition.device.name)
             smmu_table.absorb_into(target)
-        grants_total, grants_active = spm.grant_counts()
+        grants_active = sum(1 for grant in spm.grants if grant.active)
         target.absorb(
-            "spm", {"grants_total": grants_total, "grants_active": grants_active}
+            "spm", {"grants_total": len(spm.grants), "grants_active": grants_active}
         )
     for device in platform.devices():
         layer = f"device:{device.name}"

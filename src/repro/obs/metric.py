@@ -12,9 +12,10 @@ instruments:
 * :class:`Histogram` — fixed bucket bounds chosen at creation, so the
   bucket layout (and therefore the snapshot text) is deterministic.
 
-Zero-cost disabled path: a disabled registry hands out shared null
-instruments whose mutators are no-ops, and hot paths guard on
-``registry.enabled`` before even looking an instrument up.  The snapshot
+Null-object disabled path: a disabled registry hands out one shared null
+instrument whose mutators are no-ops, so call sites never test
+``registry.enabled``; they call the registry and the instrument
+unconditionally, and a disabled call records nothing.  The snapshot
 is rendered with sorted keys and fixed formatting, so its sha256
 fingerprint is byte-identical across same-seed runs.
 """
@@ -152,9 +153,10 @@ class MetricsRegistry:
         """Read-only live view of every instrument, keyed ``(layer, name)``."""
 
     # -- instrument access -------------------------------------------------
+    # The public accessors test ``enabled`` themselves, so a disabled
+    # call site pays one call to the registry and one to the null
+    # instrument, nothing more.
     def _get(self, layer: str, name: str, factory, kind: str):
-        if not self.enabled:
-            return _NULL
         key = (layer, name)
         metric = self._metrics.get(key)
         if metric is None:
@@ -167,9 +169,13 @@ class MetricsRegistry:
         return metric
 
     def counter(self, layer: str, name: str) -> Counter:
+        if not self.enabled:
+            return _NULL
         return self._get(layer, name, Counter, "counter")
 
     def gauge(self, layer: str, name: str) -> Gauge:
+        if not self.enabled:
+            return _NULL
         return self._get(layer, name, Gauge, "gauge")
 
     def histogram(
@@ -179,6 +185,8 @@ class MetricsRegistry:
         *,
         bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
     ) -> Histogram:
+        if not self.enabled:
+            return _NULL
         return self._get(layer, name, lambda: Histogram(bounds), "histogram")
 
     # -- legacy counter dicts ----------------------------------------------

@@ -318,6 +318,8 @@ class SpanRecorder:
         **attrs: Any,
     ):
         """A zero-duration span (instantaneous marker)."""
+        if not self.enabled:
+            return NO_SPAN
         when = self._clock.now if ts is None else ts
         return self.record(
             name, start_us=when, end_us=when, category=category, parent=parent,
@@ -394,13 +396,6 @@ class SpanRecorder:
         if name is not None:
             out = [s for s in out if s.name == name]
         return tuple(out)
-
-    def trace_ids(self) -> Tuple[int, ...]:
-        seen: List[int] = []
-        for span in self._live():
-            if span.context.trace_id not in seen:
-                seen.append(span.context.trace_id)
-        return tuple(seen)
 
     def clear(self) -> None:
         self._spans.clear()

@@ -237,10 +237,8 @@ class TelemetryPipeline:
         source = self._by_node.get(node)
         trace = None
         if source is not None and source.recorder.enabled:
-            trace_ids: List[int] = []
-            for span in source.recorder.spans(category="recovery"):
-                if span.context.trace_id not in trace_ids:
-                    trace_ids.append(span.context.trace_id)
+            recovery = source.recorder.spans(category="recovery")
+            trace_ids = list(dict.fromkeys(span.context.trace_id for span in recovery))
             if trace_ids:
                 spans = [
                     span

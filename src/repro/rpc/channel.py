@@ -135,9 +135,8 @@ class _Stream:
             self.thread_started = True
         self._channel._platform.clock.advance(costs.srpc_enqueue_us(len(record)))
         metrics = self._channel._platform.metrics
-        if metrics.enabled:
-            metrics.counter("srpc", "enqueued").inc()
-            metrics.histogram("srpc", "record_bytes").observe(len(record))
+        metrics.counter("srpc", "enqueued").inc()
+        metrics.histogram("srpc", "record_bytes").observe(len(record))
         duplicate = False
         if _faults.ACTIVE is not None:
             act = _faults.ACTIVE.fire(
@@ -210,7 +209,7 @@ class _Stream:
             + costs.copy_cost_us(len(record), per_kib=costs.smem_us_per_kib)
         )
         obs = self._channel._platform.obs
-        if obs.enabled and ctx is not None:
+        if ctx is not None:
             # The consumer-side execution window, parented on the caller's
             # in-band context: this is the span that crosses the mEnclave
             # (and partition) boundary.  ``record`` also marks this trace as
@@ -382,19 +381,17 @@ class SRPCChannel:
             "srpc", "channel-open",
             f"{getattr(caller.enclave, 'eid', 0):#010x} -> {callee.enclave.eid:#010x}",
         )
-        if self._platform.obs.enabled:
-            self._platform.obs.event(
-                "srpc.channel-open",
-                category="srpc",
-                partition=(
-                    caller.partition.name if caller.partition is not None else None
-                ),
-                caller_eid=f"{getattr(caller.enclave, 'eid', 0):#010x}",
-                callee_eid=f"{callee.enclave.eid:#010x}",
-                callee_partition=callee.partition.name,
-            )
-        if self._platform.metrics.enabled:
-            self._platform.metrics.counter("srpc", "channels_opened").inc()
+        self._platform.obs.event(
+            "srpc.channel-open",
+            category="srpc",
+            partition=(
+                caller.partition.name if caller.partition is not None else None
+            ),
+            caller_eid=f"{getattr(caller.enclave, 'eid', 0):#010x}",
+            callee_eid=f"{callee.enclave.eid:#010x}",
+            callee_partition=callee.partition.name,
+        )
+        self._platform.metrics.counter("srpc", "channels_opened").inc()
 
     # -- setup steps ------------------------------------------------------
     def _attest_peer(self, expected_measurement: Optional[bytes]) -> None:
@@ -424,20 +421,18 @@ class SRPCChannel:
         self._require_usable()
         synchronous = self.callee.enclave.is_synchronous(fn)
         obs = self._platform.obs
-        span = NO_SPAN
-        if obs.enabled:
-            span = obs.begin(
-                "srpc.call",
-                category="srpc",
-                partition=(
-                    self.caller.partition.name
-                    if self.caller.partition is not None
-                    else None
-                ),
-                fn=fn,
-                stream=stream,
-                sync=synchronous,
-            )
+        span = obs.begin(
+            "srpc.call",
+            category="srpc",
+            partition=(
+                self.caller.partition.name
+                if self.caller.partition is not None
+                else None
+            ),
+            fn=fn,
+            stream=stream,
+            sync=synchronous,
+        )
         if span is not NO_SPAN:
             # In-band context propagation: the producer appends its span's
             # (trace_id, span_id) to the serialized record, so the callee's

@@ -88,8 +88,8 @@ class SharedRingBuffer:
         self._scratch = bytearray()
         self.header_writebacks = 0
         self.header_refreshes = 0
-        # Observability handles (inert unless enabled; guarded per-op so
-        # the disabled hot path pays one attribute read per push/pop).
+        # Observability handles, called unconditionally per push/pop: a
+        # disabled recorder and registry record nothing.
         platform = producer._spm._platform
         self._obs = platform.obs
         self._metrics = platform.metrics
@@ -188,14 +188,12 @@ class SharedRingBuffer:
         )
         self.header_writebacks += 1
         self._record_sizes.append(len(record))
-        if self._obs.enabled:
-            self._obs.event(
-                "ring.push", category="ring", partition=self._producer.name,
-                rid=self._rid, bytes=len(record),
-            )
-        if self._metrics.enabled:
-            self._metrics.counter("ring", "pushes").inc()
-            self._metrics.counter("ring", "pushed_bytes").inc(len(record))
+        self._obs.event(
+            "ring.push", category="ring", partition=self._producer.name,
+            rid=self._rid, bytes=len(record),
+        )
+        self._metrics.counter("ring", "pushes").inc()
+        self._metrics.counter("ring", "pushed_bytes").inc(len(record))
         return self._rid
 
     def pop(self) -> Optional[bytes]:
@@ -234,13 +232,11 @@ class SharedRingBuffer:
         head = self._head = (head + 4 + length) % self.capacity
         self._consumer.write(self._base + _OFF_HEAD, _PACK_U64.pack(head))
         self.header_writebacks += 1
-        if self._obs.enabled:
-            self._obs.event(
-                "ring.pop", category="ring", partition=self._consumer.name,
-                bytes=length,
-            )
-        if self._metrics.enabled:
-            self._metrics.counter("ring", "pops").inc()
+        self._obs.event(
+            "ring.pop", category="ring", partition=self._consumer.name,
+            bytes=length,
+        )
+        self._metrics.counter("ring", "pops").inc()
         return record
 
     def _fire_ring_site(self, site: str, executing: Partition):

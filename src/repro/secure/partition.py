@@ -64,7 +64,7 @@ class Partition:
         # Direct reference to the stage-2 TLB dict: the fast lanes below
         # probe it without a method call.  The dict object is stable for
         # the partition's lifetime (flush/shoot-down mutate it in place).
-        self._tlb = self.stage2._tlb
+        self._tlb = self.stage2.tlb
         # Hot-path counters (host-speed observability, see docs/costmodel.md).
         self.fast_accesses = 0
         self.slow_accesses = 0

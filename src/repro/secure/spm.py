@@ -25,7 +25,6 @@ from repro.faults import injector as _faults
 from repro.hw.memory import PAGE_SIZE
 from repro.hw.pagetable import PagePermission
 from repro.hw.platform import Platform
-from repro.obs.span import NO_SPAN
 from repro.secure.monitor import SecureMonitor
 from repro.secure.partition import Partition, PartitionState, PeerFailedSignal
 
@@ -84,7 +83,9 @@ class SPM:
         self._bump_end = secure_range.stop
         self._recycled: List[int] = []
         self._page_owner: Dict[int, str] = {}
-        self._grants: List[ShareGrant] = []
+        self.grants: List[ShareGrant] = []
+        """Every grant ever made, active or revoked, in grant order (read-only
+        outside the SPM)."""
         self._heartbeats: Dict[str, int] = {}
 
     # -- partitions --------------------------------------------------------
@@ -214,7 +215,7 @@ class SPM:
             )
             self._platform.clock.advance(costs.stage2_map_us + costs.smmu_update_us)
         grant = ShareGrant(owner=owner.name, peer=peer.name, pages=tuple(pages))
-        self._grants.append(grant)
+        self.grants.append(grant)
         if _faults.ACTIVE is not None:
             # Crash-after-commit: the grant exists, so recovery must find
             # and invalidate it (the proceed step walks the grant list).
@@ -222,37 +223,29 @@ class SPM:
         self._platform.tracer.emit(
             "spm", "share-pages", f"{owner.name}->{peer.name} x{len(pages)}"
         )
-        if self._platform.obs.enabled:
-            self._platform.obs.event(
-                "spm.share", category="spm", partition=owner.name,
-                peer=peer.name, pages=len(pages),
-            )
-        if self._platform.metrics.enabled:
-            self._platform.metrics.counter("spm", "shares").inc()
+        self._platform.obs.event(
+            "spm.share", category="spm", partition=owner.name,
+            peer=peer.name, pages=len(pages),
+        )
+        self._platform.metrics.counter("spm", "shares").inc()
         return grant
 
     def _page_shared(self, page: int) -> bool:
-        return any(g.active and page in g.pages for g in self._grants)
+        return any(g.active and page in g.pages for g in self.grants)
 
     def grants_involving(self, partition_name: str) -> List[ShareGrant]:
-        return [g for g in self._grants if g.active and g.involves(partition_name)]
-
-    def grant_counts(self) -> Tuple[int, int]:
-        """(grants ever made, grants still active), for the metrics export."""
-        return len(self._grants), sum(1 for g in self._grants if g.active)
+        return [g for g in self.grants if g.active and g.involves(partition_name)]
 
     def reclaim_grant(self, grant: ShareGrant) -> None:
         """Tear down a grant after the streams using it terminate."""
         if not grant.active:
             return
         grant.active = False
-        if self._platform.obs.enabled:
-            self._platform.obs.event(
-                "spm.revoke", category="spm", partition=grant.owner,
-                peer=grant.peer, pages=len(grant.pages),
-            )
-        if self._platform.metrics.enabled:
-            self._platform.metrics.counter("spm", "revokes").inc()
+        self._platform.obs.event(
+            "spm.revoke", category="spm", partition=grant.owner,
+            peer=grant.peer, pages=len(grant.pages),
+        )
+        self._platform.metrics.counter("spm", "revokes").inc()
         owner = self._partitions.get(grant.owner)
         peer = self._partitions.get(grant.peer)
         for page in grant.pages:
@@ -329,18 +322,16 @@ class SPM:
 
     def _recover(self, partition: Partition, *, background: bool = False) -> RecoveryReport:
         obs = self._platform.obs
-        root = NO_SPAN
-        if obs.enabled:
-            # Parent the whole recovery under the last trace active on the
-            # failed partition: the crashed request's span tree continues
-            # straight into its own recovery.
-            root = obs.begin(
-                "spm.recover",
-                category="recovery",
-                parent=obs.partition_context(partition.name),
-                partition=partition.name,
-                background=background,
-            )
+        # Parent the whole recovery under the last trace active on the
+        # failed partition: the crashed request's span tree continues
+        # straight into its own recovery.
+        root = obs.begin(
+            "spm.recover",
+            category="recovery",
+            parent=obs.partition_context(partition.name),
+            partition=partition.name,
+            background=background,
+        )
         proceed_us, s2, smmu = self._proceed(partition)
         if _faults.ACTIVE is not None:
             # Crash-during-recovery: a *second* partition may fail while
@@ -357,23 +348,21 @@ class SPM:
             _faults.ACTIVE.fire(
                 "spm.recover.reload", default_target=partition.device.name
             )
-        if root is not NO_SPAN:
-            # Background recovery leaves the clock untouched; the span
-            # closes at the *virtual* completion instant so its duration
-            # still equals proceed + clear + reload.
-            end_ts = self._platform.clock.now + (
-                (clear_us + reload_us) if background else 0.0
-            )
-            obs.end(
-                root, ts=end_ts,
-                total_us=proceed_us + clear_us + reload_us,
-                invalidated_stage2=s2, invalidated_smmu=smmu,
-            )
-        if self._platform.metrics.enabled:
-            self._platform.metrics.counter("spm", "recoveries").inc()
-            self._platform.metrics.histogram("spm", "recovery_us").observe(
-                proceed_us + clear_us + reload_us
-            )
+        # Background recovery leaves the clock untouched; the span closes
+        # at the *virtual* completion instant so its duration still equals
+        # proceed + clear + reload.
+        end_ts = self._platform.clock.now + (
+            (clear_us + reload_us) if background else 0.0
+        )
+        obs.end(
+            root, ts=end_ts,
+            total_us=proceed_us + clear_us + reload_us,
+            invalidated_stage2=s2, invalidated_smmu=smmu,
+        )
+        self._platform.metrics.counter("spm", "recoveries").inc()
+        self._platform.metrics.histogram("spm", "recovery_us").observe(
+            proceed_us + clear_us + reload_us
+        )
         return RecoveryReport(
             partition=partition.name,
             invalidated_stage2=s2,
@@ -389,10 +378,9 @@ class SPM:
         """Step 1: invalidate all shared mappings, set r_f = 1."""
         costs = self._platform.costs
         obs = self._platform.obs
-        if obs.enabled:
-            # Snapshot the flight-recorder ring before the scrub: the last
-            # N spans leading up to the crash survive the partition's death.
-            obs.dump_flight(partition.name, "recovery")
+        # Snapshot the flight-recorder ring before the scrub: the last
+        # N spans leading up to the crash survive the partition's death.
+        obs.dump_flight(partition.name, "recovery")
         start = self._platform.clock.now
         stage2_count = 0
         smmu_count = 0
@@ -418,17 +406,16 @@ class SPM:
             "spm", "recovery-proceed",
             f"{partition.name}: {stage2_count} stage2 + {smmu_count} smmu invalidated",
         )
-        if obs.enabled:
-            obs.record(
-                "recovery.trap",
-                start_us=start,
-                end_us=self._platform.clock.now,
-                category="recovery",
-                parent=obs.current() or obs.partition_context(partition.name),
-                partition=partition.name,
-                invalidated_stage2=stage2_count,
-                invalidated_smmu=smmu_count,
-            )
+        obs.record(
+            "recovery.trap",
+            start_us=start,
+            end_us=self._platform.clock.now,
+            category="recovery",
+            parent=obs.current() or obs.partition_context(partition.name),
+            partition=partition.name,
+            invalidated_stage2=stage2_count,
+            invalidated_smmu=smmu_count,
+        )
         return self._platform.clock.now - start, stage2_count, smmu_count
 
     def _clear_and_reload(
@@ -482,23 +469,22 @@ class SPM:
         if advance_clock:
             self._platform.clock.advance(clear_us + reload_us)
         obs = self._platform.obs
-        if obs.enabled:
-            # Background recovery runs concurrently with the survivors, so
-            # these windows sit in the *future* of the (unadvanced) clock —
-            # exactly where the work lands on the recovery's own timeline.
-            parent = obs.current() or obs.partition_context(partition.name)
-            obs.record(
-                "recovery.scrub",
-                start_us=scrub_start, end_us=scrub_start + clear_us,
-                category="recovery", parent=parent, partition=partition.name,
-                device_bytes=device_bytes, pages_scrubbed=scrubbed,
-            )
-            obs.record(
-                "recovery.reload",
-                start_us=scrub_start + clear_us,
-                end_us=scrub_start + clear_us + reload_us,
-                category="recovery", parent=parent, partition=partition.name,
-            )
+        # Background recovery runs concurrently with the survivors, so
+        # these windows sit in the *future* of the (unadvanced) clock —
+        # exactly where the work lands on the recovery's own timeline.
+        parent = obs.current() or obs.partition_context(partition.name)
+        obs.record(
+            "recovery.scrub",
+            start_us=scrub_start, end_us=scrub_start + clear_us,
+            category="recovery", parent=parent, partition=partition.name,
+            device_bytes=device_bytes, pages_scrubbed=scrubbed,
+        )
+        obs.record(
+            "recovery.reload",
+            start_us=scrub_start + clear_us,
+            end_us=scrub_start + clear_us + reload_us,
+            category="recovery", parent=parent, partition=partition.name,
+        )
         # Full TLB flush on reload: the reborn mOS re-walks its stage-2
         # table (and its device re-walks the SMMU) from scratch.  Per-page
         # shoot-downs already covered the individual invalidate/unmap calls
@@ -541,8 +527,8 @@ class SPM:
         peer_name = None
         # Prefer active grants: a page may appear in stale (reclaimed)
         # grants if it was recycled into a newer channel.
-        ordered = [g for g in self._grants if g.active] + [
-            g for g in self._grants if not g.active
+        ordered = [g for g in self.grants if g.active] + [
+            g for g in self.grants if not g.active
         ]
         for grant in ordered:
             if page in grant.pages and grant.involves(faulting.name):
@@ -561,11 +547,9 @@ class SPM:
         self._platform.tracer.emit(
             "spm", "trap-handled", f"{faulting.name} touched page of failed {peer_name}"
         )
-        if self._platform.obs.enabled:
-            self._platform.obs.event(
-                "recovery.trap-handled", category="recovery",
-                partition=faulting.name, page=page, peer=peer_name,
-            )
-        if self._platform.metrics.enabled:
-            self._platform.metrics.counter("spm", "traps_handled").inc()
+        self._platform.obs.event(
+            "recovery.trap-handled", category="recovery",
+            partition=faulting.name, page=page, peer=peer_name,
+        )
+        self._platform.metrics.counter("spm", "traps_handled").inc()
         return PeerFailedSignal(peer_name, page)

@@ -391,8 +391,7 @@ class ServingSystem:
                 self._fleet[name] = FLEET_PARKED
                 self.system.dispatcher.park(name)
         self.initial_live = tuple(live)
-        if self._metrics.enabled:
-            self._metrics.gauge("serve", "fleet_live").set(len(live))
+        self._metrics.gauge("serve", "fleet_live").set(len(live))
 
     def _servable(self, device: str) -> bool:
         """Whether a batch may execute on ``device``: always in a static
@@ -409,14 +408,12 @@ class ServingSystem:
 
     def _record_scale(self, t_us: float, action: str, device: str) -> None:
         self.scaling_events.append((t_us, action, device))
-        if self._obs.enabled:
-            self._obs.event(
-                "serve.scale", category="serve", ts=t_us,
-                action=action, device=device, fleet_live=self._live_count(),
-            )
-        if self._metrics.enabled:
-            self._metrics.counter("serve", f"scale_{action}").inc()
-            self._metrics.gauge("serve", "fleet_live").set(self._live_count())
+        self._obs.event(
+            "serve.scale", category="serve", ts=t_us,
+            action=action, device=device, fleet_live=self._live_count(),
+        )
+        self._metrics.counter("serve", f"scale_{action}").inc()
+        self._metrics.gauge("serve", "fleet_live").set(self._live_count())
 
     def _accumulate_live(self, device: str, t_us: float) -> None:
         since = self._fleet_since.pop(device, None)
@@ -480,11 +477,10 @@ class ServingSystem:
         self._fleet[device] = FLEET_DRAINING
         self.system.dispatcher.park(device)
         self._record_scale(t_us, SCALE_RETIRE, device)
-        if self._obs.enabled:
-            self._drain_spans[device] = self._obs.begin(
-                "serve.drain", category="serve", detached=True,
-                ts=t_us, device=device,
-            )
+        self._drain_spans[device] = self._obs.begin(
+            "serve.drain", category="serve", detached=True,
+            ts=t_us, device=device,
+        )
         self._flush(device, reason="drain")
         self._park_at.schedule(device, max(t_us, self._free_at.get(device, 0.0)))
 
@@ -738,14 +734,12 @@ class ServingSystem:
                 # the tenant's in-flight window is clogged with work
                 # waiting on capacity (rate-limit rejections are not).
                 scaler.observe_rejection(request.arrival_us)
-            if self._metrics.enabled:
-                self._metrics.counter("serve", "rejected").inc()
+            self._metrics.counter("serve", "rejected").inc()
             return decision
         self.ledger.admit(request, span)
         if scaler is not None:
             scaler.observe_arrival(request.arrival_us)
-        if self._metrics.enabled:
-            self._metrics.counter("serve", "admitted").inc()
+        self._metrics.counter("serve", "admitted").inc()
         self._place(request)
         return decision
 
@@ -786,13 +780,11 @@ class ServingSystem:
             self._parked.append(request)
             if self.autoscaler is not None:
                 self.autoscaler.observe_parked(self._now)
-            if self._obs.enabled:
-                self._obs.event(
-                    "serve.park", category="serve", ts=self._now,
-                    parent=self.ledger.context(request.rid), rid=request.rid,
-                )
-            if self._metrics.enabled:
-                self._metrics.counter("serve", "parked").inc()
+            self._obs.event(
+                "serve.park", category="serve", ts=self._now,
+                parent=self.ledger.context(request.rid), rid=request.rid,
+            )
+            self._metrics.counter("serve", "parked").inc()
             return
         except DispatchError:
             # No partition manages such a device at all: terminal.
@@ -834,18 +826,13 @@ class ServingSystem:
         cum = 0.0
         leftover: List[Request] = []
         crashed = False
-        obs_on = self._obs.enabled
         scaler = self.autoscaler
-        partition = (
-            self.system.spm.partition_for_device(device).name if obs_on else None
+        partition = self.system.spm.partition_for_device(device).name
+        batch_span = self._obs.begin(
+            "serve.batch", category="serve", detached=True, ts=start,
+            partition=partition, device=device, size=len(batch.requests),
+            reason=batch.reason,
         )
-        batch_span = NO_SPAN
-        if obs_on:
-            batch_span = self._obs.begin(
-                "serve.batch", category="serve", detached=True, ts=start,
-                partition=partition, device=device, size=len(batch.requests),
-                reason=batch.reason,
-            )
         setup_start = clock.now
         try:
             worker.ensure_runtime()
@@ -872,17 +859,14 @@ class ServingSystem:
                     leftover = [request] + list(batch.requests[index + 1:])
                     break
                 cum += service
-                if obs_on:
-                    self._obs.record(
-                        "serve.execute", category="serve",
-                        start_us=exec_start, end_us=start + cum,
-                        parent=self.ledger.context(request.rid),
-                        partition=partition, rid=request.rid,
-                        batch_span=getattr(batch_span, "context", None)
-                        and batch_span.context.span_id,
-                    )
-                if self._metrics.enabled:
-                    self._metrics.histogram("serve", "service_us").observe(service)
+                self._obs.record(
+                    "serve.execute", category="serve",
+                    start_us=exec_start, end_us=start + cum,
+                    parent=self.ledger.context(request.rid),
+                    partition=partition, rid=request.rid,
+                    batch_span=batch_span.context and batch_span.context.span_id,
+                )
+                self._metrics.histogram("serve", "service_us").observe(service)
                 inflight.append(start + cum)
                 self._complete(request, start + cum, correct)
                 if scaler is not None:
@@ -897,9 +881,8 @@ class ServingSystem:
         # Executing on the device moved its live contexts / reservations.
         self.placer.mark_dirty(device)
         self._obs.end(batch_span, ts=start + cum, crashed=crashed)
-        if self._metrics.enabled:
-            self._metrics.counter("serve", "batches").inc()
-            self._metrics.histogram("serve", "batch_us").observe(cum)
+        self._metrics.counter("serve", "batches").inc()
+        self._metrics.histogram("serve", "batch_us").observe(cum)
         if crashed:
             self._handle_worker_failure(device, leftover)
 
@@ -910,11 +893,10 @@ class ServingSystem:
             request, completion_us, sampled="completed" if correct else "error",
             outcome="completed", correct=correct,
         )
-        if self._metrics.enabled:
-            self._metrics.counter("serve", "completed").inc()
-            self._metrics.histogram("serve", "latency_us").observe(
-                completion_us - request.arrival_us
-            )
+        self._metrics.counter("serve", "completed").inc()
+        self._metrics.histogram("serve", "latency_us").observe(
+            completion_us - request.arrival_us
+        )
 
     def _expire(self, request: Request, *, device: Optional[str] = None) -> None:
         self.ledger.expire(request, self._now)
@@ -923,8 +905,7 @@ class ServingSystem:
             # was queued on must rescore or incremental placement diverges
             # from a full recompute (the expiry-path mark_dirty fix).
             self.placer.mark_dirty(device)
-        if self._metrics.enabled:
-            self._metrics.counter("serve", "expired").inc()
+        self._metrics.counter("serve", "expired").inc()
 
     # -- failure handling --------------------------------------------------
     def crash_partition(self, device: str) -> float:
@@ -962,13 +943,11 @@ class ServingSystem:
         self._down.schedule(device, ready_at)
         self.placer.mark_dirty(device)
         self.crashes.append(device)
-        if self._obs.enabled:
-            self._obs.event(
-                "serve.crash", category="serve", ts=self._now,
-                device=device, ready_at_us=ready_at, **event,
-            )
-        if self._metrics.enabled:
-            self._metrics.counter("serve", "crashes").inc()
+        self._obs.event(
+            "serve.crash", category="serve", ts=self._now,
+            device=device, ready_at_us=ready_at, **event,
+        )
+        self._metrics.counter("serve", "crashes").inc()
         return ready_at
 
     def _handle_worker_failure(self, device: str, leftover: List[Request]) -> None:
@@ -982,13 +961,11 @@ class ServingSystem:
             requeue.extend(self.batcher.evict(device))
         for request in requeue:
             context = self.ledger.requeue(request)
-            if self._obs.enabled:
-                self._obs.event(
-                    "serve.requeue", category="serve", ts=self._now,
-                    parent=context, rid=request.rid, from_device=device,
-                )
-            if self._metrics.enabled:
-                self._metrics.counter("serve", "requeued").inc()
+            self._obs.event(
+                "serve.requeue", category="serve", ts=self._now,
+                parent=context, rid=request.rid, from_device=device,
+            )
+            self._metrics.counter("serve", "requeued").inc()
             self._place(request)
 
     def _replace_parked(self) -> None:
@@ -1034,19 +1011,19 @@ class ServingSystem:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
     def report(self) -> ServingReport:
-        if self._metrics.enabled:
-            self._metrics.absorb("serve.batcher", self.batcher.stats)
-            if self.autoscaler is not None:
-                self._metrics.absorb("serve.autoscaler", self.autoscaler.stats)
-            for device, worker in sorted(self._workers.items()):
-                self._metrics.absorb(
-                    f"serve.worker:{device}",
-                    {
-                        "batches": worker.batches,
-                        "requests": worker.calls,
-                        "generations": worker.generation,
-                    },
-                )
+        self._metrics.absorb("serve.batcher", self.batcher.stats)
+        if self.autoscaler is not None:
+            self._metrics.absorb("serve.autoscaler", self.autoscaler.stats)
+        worker_stats = {
+            device: {
+                "batches": worker.batches,
+                "requests": worker.calls,
+                "generations": worker.generation,
+            }
+            for device, worker in sorted(self._workers.items())
+        }
+        for device, stats in worker_stats.items():
+            self._metrics.absorb(f"serve.worker:{device}", stats)
         slo_text = self.slo.table()
         return ServingReport(
             slo_text=slo_text,
@@ -1060,14 +1037,7 @@ class ServingSystem:
             wrong_results=self.wrong_results,
             duplicates_avoided=self.duplicates_avoided,
             batcher_stats=self.batcher.stats,
-            worker_stats={
-                d: {
-                    "batches": w.batches,
-                    "requests": w.calls,
-                    "generations": w.generation,
-                }
-                for d, w in sorted(self._workers.items())
-            },
+            worker_stats=worker_stats,
             device_seconds=self._device_seconds(),
             scaling_events=tuple(self.scaling_events),
             scale_fingerprint=self.scale_fingerprint(),

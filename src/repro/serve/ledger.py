@@ -41,8 +41,6 @@ class RequestLedger:
         """Open ``request``'s root span (NO_SPAN while spans are off).  Roots
         live on the engine's virtual event axis, so the arrival instant is
         passed explicitly, never read off the platform clock."""
-        if not self._obs.enabled:
-            return NO_SPAN
         return self._obs.begin(
             name, category="serve", detached=True, ts=request.arrival_us,
             rid=request.rid, tenant=request.tenant, **attrs,

@@ -418,8 +418,7 @@ class LLMEngine:
         decision = self.admission.offer(request, request.arrival_us)
         if not decision.admitted:
             self.ledger.reject(request, decision.reason)
-            if self._metrics.enabled:
-                self._metrics.counter("llm", "rejected").inc()
+            self._metrics.counter("llm", "rejected").inc()
             return decision
         span = self.ledger.begin(
             "llm.sequence", request,
@@ -429,8 +428,7 @@ class LLMEngine:
         self.slo.record_sequence(request)
         sequence = SequenceState(request)
         self._sequences[request.rid] = sequence
-        if self._metrics.enabled:
-            self._metrics.counter("llm", "sequences").inc()
+        self._metrics.counter("llm", "sequences").inc()
         self._place(sequence)
         return decision
 
@@ -441,11 +439,10 @@ class LLMEngine:
             )
         except NoReadyPartition:
             self._parked.append(sequence)
-            if self._obs.enabled:
-                self._obs.event(
-                    "llm.park", category="serve", ts=self._now,
-                    rid=sequence.request.rid,
-                )
+            self._obs.event(
+                "llm.park", category="serve", ts=self._now,
+                rid=sequence.request.rid,
+            )
             return
         except DispatchError:
             # No partition manages such a device at all: terminal.
@@ -479,8 +476,7 @@ class LLMEngine:
             [s.context_len for s in running]
         )
         self._steps.schedule(device, self._now + duration)
-        if self._metrics.enabled:
-            self._metrics.histogram("llm", "iteration_us").observe(duration)
+        self._metrics.histogram("llm", "iteration_us").observe(duration)
 
     def _prefill(self, cache: PagedKVCache, sequence: SequenceState) -> None:
         """Fill the sequence's KV for its whole current context (prompt
@@ -493,14 +489,12 @@ class LLMEngine:
         if sequence.prefills > 1:
             sequence.reprefills += 1
             self.slo.record_reprefill(request)
-            if self._obs.enabled:
-                self._obs.event(
-                    "llm.reprefill", category="serve", ts=self._now,
-                    rid=request.rid, device=cache.partition.device.name,
-                    context=sequence.context_len,
-                )
-            if self._metrics.enabled:
-                self._metrics.counter("llm", "reprefills").inc()
+            self._obs.event(
+                "llm.reprefill", category="serve", ts=self._now,
+                rid=request.rid, device=cache.partition.device.name,
+                context=sequence.context_len,
+            )
+            self._metrics.counter("llm", "reprefills").inc()
 
     def _finish_iteration(self, device: str) -> None:
         """One decode boundary: every resident sequence emits one token."""
@@ -550,8 +544,7 @@ class LLMEngine:
             request, now, outcome="finished", tokens=sequence.tokens_emitted
         )
         self.slo.record_sequence_finished(request)
-        if self._metrics.enabled:
-            self._metrics.counter("llm", "finished").inc()
+        self._metrics.counter("llm", "finished").inc()
 
     # -- failure handling --------------------------------------------------
     def crash_device(self, device: str) -> float:
@@ -589,13 +582,11 @@ class LLMEngine:
         if streamer is not None:
             streamer.abandon()
         victims = self.batcher.evict_device(device)
-        if self._obs.enabled:
-            self._obs.event(
-                "llm.crash", category="serve", ts=self._now, device=device,
-                ready_at_us=ready_at, victims=len(victims),
-            )
-        if self._metrics.enabled:
-            self._metrics.counter("llm", "crashes").inc()
+        self._obs.event(
+            "llm.crash", category="serve", ts=self._now, device=device,
+            ready_at_us=ready_at, victims=len(victims),
+        )
+        self._metrics.counter("llm", "crashes").inc()
         for sequence in victims:
             request = sequence.request
             self.ledger.requeue(request)

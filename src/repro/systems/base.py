@@ -307,7 +307,7 @@ class HixRuntime:
     def close(self) -> None:
         self._channel.close()
         self._channel.callee.enclave.destroy()
-        self._system._release_gpu()
+        self._system.release_gpu()
 
 
 class _BaselineHost:
@@ -388,5 +388,5 @@ class HixTrustZone(BaselineSystem):
         )
         return HixRuntime(self, channel)
 
-    def _release_gpu(self) -> None:
+    def release_gpu(self) -> None:
         self._gpu_busy = False

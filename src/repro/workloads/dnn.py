@@ -344,7 +344,7 @@ class Model:
     sim_scale: float
     input_shape: Tuple[int, ...] = ()
     num_classes: int = 10
-    _built: bool = False
+    built: bool = False
 
     def build(self, rt, input_shape: Tuple[int, ...], *, seed: int = 0) -> None:
         rng = np.random.default_rng(seed)
@@ -359,7 +359,7 @@ class Model:
         self.h_onehot = rt.cudaMalloc((n, self.num_classes))
         self.h_loss = rt.cudaMalloc((1,))
         self.h_grad = rt.cudaMalloc((n, self.num_classes))
-        self._built = True
+        self.built = True
 
     def forward_backward(self, rt, images: np.ndarray, onehot: np.ndarray) -> float:
         """Forward + backward pass leaving gradients on the device; returns
@@ -413,7 +413,7 @@ class Model:
             layer.free(rt)
         for handle in (self.h_input, self.h_onehot, self.h_loss, self.h_grad):
             rt.cudaFree(handle)
-        self._built = False
+        self.built = False
 
 
 class Optimizer:
@@ -582,7 +582,7 @@ def train(
     ``optimizer`` defaults to plain SGD; pass :class:`Momentum` or
     :class:`Adam` for stateful optimizers (their state lives on device).
     """
-    if not model._built:
+    if not model.built:
         first = next(dataset.batches(batch_size))
         model.build(rt, (batch_size,) + first[0].shape[1:], seed=seed)
     if optimizer is not None:

@@ -1,5 +1,7 @@
 """Data-parallel training module and the CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,12 @@ from repro.workloads.distributed import (
     comm_time_us,
     data_parallel_train,
 )
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
+def _rstripped(text: str):
+    return [line.rstrip() for line in text.strip().splitlines()]
 
 
 class TestCommModel:
@@ -87,7 +95,11 @@ class TestCli:
         from repro.__main__ import main
 
         assert main(["tcb"]) == 0
-        assert "monolithic" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "monolithic" in out
+        # The committed table III must be the one the code produces today.
+        committed = RESULTS / "table3_tcb.txt"
+        assert _rstripped(committed.read_text()) == _rstripped(out)
 
     def test_attacks_command(self, capsys):
         from repro.__main__ import main

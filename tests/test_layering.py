@@ -1,11 +1,16 @@
 """Layering guard: the guarded layers use only public names.
 
 A cluster drives its nodes, and the gateway drives the cluster, through
-their public interfaces, the way mEnclaves meet only through sRPC; the
-serve, sim, hw, mos, enclave, crypto, metrics and obs layers keep to the same
-rule.  This test fails on any read or write of an ``_``-prefixed
-attribute of an object other than ``self`` or ``cls`` in those packages
-(dunders such as ``__name__`` are public protocol and allowed).
+their public interfaces, the way mEnclaves meet only through sRPC; every
+other layer but rpc keeps to the same rule.  This test fails on any read
+or write of an ``_``-prefixed attribute of an object other than ``self``
+or ``cls`` in those packages (dunders such as ``__name__`` are public
+protocol and allowed).
+
+Instrumentation sites call the span recorder and the metrics registry
+unconditionally: disabled, they are null objects.  So no module outside
+``obs/`` reads an ``enabled`` flag, except the event tracer's own
+(``metrics/trace.py``) and the CLI's message when observability is off.
 """
 
 import ast
@@ -16,8 +21,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 GUARDED = (
     "cluster", "gateway", "serve", "sim", "hw", "mos", "enclave", "crypto", "metrics",
-    "obs",
+    "obs", "accel", "attacks", "dispatch", "faults", "secure", "systems", "workloads",
 )
+ENABLED_READERS = ("obs/", "metrics/trace.py", "__main__.py")
 
 
 def private_accesses(source: str):
@@ -53,3 +59,34 @@ def test_guard_catches_private_reads_and_writes():
         "    return cluster._states[0], type(sv).__name__\n"
     )
     assert [line for line, _ in private_accesses(source)] == [3, 4]
+
+
+def enabled_reads(source: str):
+    """Line of every load of an ``.enabled`` attribute (stores are allowed)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "enabled"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_no_enabled_guard_outside_obs():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        lines = [] if rel.startswith(ENABLED_READERS) else enabled_reads(path.read_text())
+        if lines:
+            found[rel] = lines
+    assert found == {}
+
+
+def test_enabled_scan_allows_stores_only():
+    source = (
+        "def f(platform, obs):\n"
+        "    platform.obs.enabled = True\n"
+        "    if obs.enabled:\n"
+        "        pass\n"
+        "    return platform.metrics.enabled\n"
+    )
+    assert enabled_reads(source) == [3, 5]
