@@ -199,7 +199,7 @@ def run_workflow():
         ],
     )
     result = gateway.invoke_workflow(flow)
-    trace = chrome_trace(gateway.obs, trace_id=result.trace_id)
+    trace = chrome_trace(gateway.obs.spans(trace_id=result.trace_id))
     problems = validate_chrome_trace(trace)
     spans = {
         s.context.span_id: s

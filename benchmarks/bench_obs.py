@@ -47,7 +47,7 @@ def test_figure9_trace_export_and_breakdown(benchmark, record_table, results_dir
         system, result = run_scenario()
         obs = system.platform.obs
         return (
-            chrome_trace(obs),
+            chrome_trace(obs.spans()),
             recovery_phases(obs),
             result,
             collect_system_metrics(system).fingerprint(),

@@ -47,7 +47,7 @@ def _run(out_path):
     obs = system.platform.obs
     write_chrome_trace(obs, out_path)
     fingerprint = collect_system_metrics(system).fingerprint()
-    return chrome_trace(obs), recovery_phases(obs), result, fingerprint
+    return chrome_trace(obs.spans()), recovery_phases(obs), result, fingerprint
 
 
 def main(argv) -> int:

@@ -167,7 +167,7 @@ def _cmd_obs(args) -> int:
         print("observability disabled (--disabled); nothing to export")
         return 0
 
-    problems = validate_chrome_trace(chrome_trace(obs))
+    problems = validate_chrome_trace(chrome_trace(obs.spans()))
     if problems:
         for problem in problems:
             print(f"SCHEMA: {problem}", file=sys.stderr)

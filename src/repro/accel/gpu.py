@@ -240,12 +240,10 @@ class GpuDevice(Device):
         irq: int,
         vendor=None,
         memory_bytes: int = 8 << 30,
-        sm_count: int = 46,
     ) -> None:
         super().__init__(name, mmio=mmio, irq=irq, vendor=vendor, memory_bytes=memory_bytes)
         self.clock = clock
         self.costs = costs
-        self.sm_count = sm_count
         self.bytes_in_use = 0
         self.sharing_mode = SHARING_MPS
         self.mig_slices = 4

@@ -47,7 +47,7 @@ class PhysicalMemory:
         """Read ``length`` bytes at ``addr`` as ``world``."""
         self._check(addr, length, world)
         out = bytearray(length)
-        for offset, page, start, end in self._spans(addr, length):
+        for offset, page, start, end in self._page_ranges(addr, length):
             chunk = self._pages.get(page)
             if chunk is not None:
                 out[offset : offset + (end - start)] = chunk[start:end]
@@ -57,7 +57,7 @@ class PhysicalMemory:
         """Write ``data`` at ``addr`` as ``world``."""
         self._check(addr, len(data), world)
         cursor = 0
-        for offset, page, start, end in self._spans(addr, len(data)):
+        for offset, page, start, end in self._page_ranges(addr, len(data)):
             chunk = self._pages.setdefault(page, bytearray(PAGE_SIZE))
             chunk[start:end] = data[cursor : cursor + (end - start)]
             cursor += end - start
@@ -83,7 +83,7 @@ class PhysicalMemory:
         used by failure clearing (paper section IV-D, attack A3)."""
         if addr < 0 or addr + length > self.size_bytes:
             raise AccessFault(f"scrub out of range: {addr:#x}+{length}")
-        for _, page, start, end in self._spans(addr, length):
+        for _, page, start, end in self._page_ranges(addr, length):
             chunk = self._pages.get(page)
             if chunk is not None:
                 chunk[start:end] = b"\x00" * (end - start)
@@ -112,8 +112,8 @@ class PhysicalMemory:
             self._tzasc.check(addr, length, world)
 
     @staticmethod
-    def _spans(addr: int, length: int):
-        """Yield (output offset, page index, start, end) page spans."""
+    def _page_ranges(addr: int, length: int):
+        """Yield (output offset, page index, start, end) per page touched."""
         offset = 0
         while offset < length:
             cur = addr + offset

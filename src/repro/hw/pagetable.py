@@ -19,7 +19,7 @@ SPM at map/invalidate sites, exactly as before.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 
@@ -29,6 +29,10 @@ class PagePermission(enum.Flag):
     R = enum.auto()
     W = enum.auto()
     RW = R | W
+
+
+_READ = PagePermission.R.value
+_WRITE = PagePermission.W.value
 
 
 class PageFault(Exception):
@@ -50,6 +54,11 @@ class PageTableEntry:
     valid: bool = True
     shared_with: Optional[str] = None
     """For stage-2 tables: the peer partition this page is shared with."""
+    perm_bits: int = field(init=False, repr=False, compare=False)
+    """``perm`` as a plain int, so a TLB miss checks it with no enum call."""
+
+    def __post_init__(self) -> None:
+        self.perm_bits = self.perm.value
 
 
 class PageTable:
@@ -160,8 +169,7 @@ class PageTable:
                 table=self.name,
                 invalidated=True,
             )
-        needed = PagePermission.W if write else PagePermission.R
-        if not entry.perm & needed:
+        if not entry.perm_bits & (_WRITE if write else _READ):
             raise PageFault(
                 f"{self.name}: permission denied on page {virt_page:#x}",
                 page=virt_page,

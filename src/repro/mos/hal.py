@@ -25,6 +25,9 @@ from repro.crypto.certs import CertificateError, verify_certificate
 from repro.crypto.keys import PublicKey, SignatureError
 from repro.mos.shim import ShimKernel
 
+MAX_GPU_CONTEXTS = 16
+"""GPU contexts (one per mEnclave) a GPU HAL opens at once."""
+
 
 class HalError(Exception):
     """Device mismatch, failed authenticity check, or resource exhaustion."""
@@ -96,14 +99,10 @@ class GpuHal(HAL):
 
     device_type = "gpu"
 
-    def __init__(self, device: GpuDevice, shim: ShimKernel, *, max_contexts: int = 16) -> None:
-        super().__init__(device, shim)
-        self.max_contexts = max_contexts
-
     def create_gpu_context(self, owner: str, quota_bytes=None) -> GpuContext:
         """A per-mEnclave GPU virtual address space (MPS-style sharing)
         capped at the manifest's declared memory capacity."""
-        if self.device.active_contexts() >= self.max_contexts:
+        if self.device.active_contexts() >= MAX_GPU_CONTEXTS:
             raise HalError(f"GPU {self.device.name!r} context limit reached")
         return self.device.create_context(owner, quota_bytes=quota_bytes)
 

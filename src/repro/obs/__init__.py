@@ -27,7 +27,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.flight import FlightRecorder
 from repro.obs.metric import (
     DEFAULT_BUCKETS,
     Counter,
@@ -60,7 +59,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
-    "FlightRecorder",
     "Span",
     "SpanContext",
     "SpanRecorder",

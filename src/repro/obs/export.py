@@ -40,9 +40,10 @@ def _lane(span) -> str:
     return span.category or "host"
 
 
-def chrome_trace(recorder, *, trace_id: Optional[int] = None) -> Dict[str, object]:
-    """Render a recorder's spans as a Chrome trace-event JSON object."""
-    spans = [s for s in recorder.spans(trace_id=trace_id) if s.end_us is not None]
+def chrome_trace(spans) -> Dict[str, object]:
+    """Render spans (e.g. ``recorder.spans()``) as a Chrome trace-event
+    JSON object; spans not yet ended are left out."""
+    spans = [s for s in spans if s.end_us is not None]
     spans.sort(key=lambda s: (s.start_us, s.context.seq))
     pids, tids = _identity_maps(spans)
     events: List[Dict[str, object]] = []
@@ -132,7 +133,7 @@ def alert_annotations(data: Mapping[str, object]) -> List[Dict[str, object]]:
 
 def write_chrome_trace(recorder, path: str, *, trace_id: Optional[int] = None) -> str:
     """Write the Perfetto-loadable JSON to ``path``; returns the path."""
-    data = chrome_trace(recorder, trace_id=trace_id)
+    data = chrome_trace(recorder.spans(trace_id=trace_id))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -22,10 +22,13 @@ Determinism contract (see ``docs/observability.md``):
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.obs.flight import FLIGHT_CAPACITY, FlightRecorder
+FLIGHT_CAPACITY = 64
+"""Closed spans each span recorder's flight ring keeps."""
 
 
 class SpanContext:
@@ -118,17 +121,22 @@ NO_SPAN = _NullSpan()
 class SpanRecorder:
     """Collects causal spans when enabled; free when disabled.
 
-    The recorder keeps three structures:
+    Every span lives once, in its trace's list (``_by_trace``), so a tail
+    sampler sizes or drops a whole trace without a scan; ``spans()``
+    merges the lists back into recording order by ``seq``.  Besides, the
+    recorder keeps:
 
-    * the full span list (bounded by ``capacity``, with a ``dropped``
+    * a live-span count bounded by ``capacity`` (with a ``dropped``
       counter like the event tracer's),
     * a per-partition map of the *last context active on that partition*
       (every span opened or recorded with a ``partition`` updates it),
       which the SPM reads through ``partition_context`` to parent
       recovery spans under the request that was running when the
       partition died,
-    * a :class:`~repro.obs.flight.FlightRecorder` ring of the last N
-      closed spans, dumped by the failover path when a partition crashes.
+    * the flight ring (``flight``) of the last :data:`FLIGHT_CAPACITY`
+      closed spans.  It lives host-side (the model of the SPM's own log
+      in secure memory), so the failover path's ``dump_flight`` saves the
+      spans leading up to a partition crash before the scrub.
     """
 
     def __init__(
@@ -141,21 +149,20 @@ class SpanRecorder:
         self._clock = clock
         self.enabled = enabled
         self.capacity = capacity
-        self._spans: List[Span] = []
         self._stack: List[SpanContext] = []
         self._next_trace = 1
         self._next_span = 1
         self._seq = 0
         self.dropped = 0
-        self.flight = FlightRecorder(FLIGHT_CAPACITY)
+        self.flight: Deque[Span] = deque(maxlen=FLIGHT_CAPACITY)
         self._partition_last: Dict[str, SpanContext] = {}
         self.flight_dumps: List[Tuple[float, str, str, Tuple[Span, ...]]] = []
-        # Tail-sampling support: a per-trace index so a sampler can size
-        # and drop whole traces without scanning the span list, plus a
-        # lazy-discard set compacted once half the list is dead weight.
         self._by_trace: Dict[int, List[Span]] = {}
+        self._live_spans = 0
+        # Traces the tail sampler dropped, and the spans dropped with them
+        # since the marks were last cleared (see discard_trace).
         self._discarded: Set[int] = set()
-        self._lazy = 0
+        self._marked_spans = 0
         self.discarded_spans = 0
         self.discarded_traces = 0
 
@@ -230,28 +237,12 @@ class SpanRecorder:
         """
         if not self.enabled:
             return NO_SPAN
-        if len(self._spans) - self._lazy >= self.capacity:
-            self.dropped += 1
-            return NO_SPAN
-        parent_ctx = self._resolve_parent(parent)
-        if parent_ctx is not None and parent_ctx.trace_id in self._discarded:
-            # A late child of a trace the sampler already dropped: admitting
-            # it would silently resurrect ``_by_trace[tid]`` with spans that
-            # ``_live()`` filters out but ``__len__``/capacity still count.
-            self.discarded_spans += 1
-            return NO_SPAN
-        ctx = self._make_context(parent_ctx)
-        # ``attrs`` is already a fresh per-call kwargs dict: no copy.
-        span = Span(
-            ctx, name, category, partition, enclave,
+        span = self._admit(
+            name, category, parent, partition, enclave,
             self._clock.now if ts is None else ts, attrs,
         )
-        self._spans.append(span)
-        self._by_trace.setdefault(ctx.trace_id, []).append(span)
-        if not detached:
-            self._stack.append(ctx)
-        if partition is not None:
-            self._partition_last[partition] = ctx
+        if span is not NO_SPAN and not detached:
+            self._stack.append(span.context)
         return span
 
     def end(self, span, *, ts: Optional[float] = None, **attrs: Any) -> None:
@@ -269,7 +260,7 @@ class SpanRecorder:
         span.end_us = self._clock.now if ts is None else ts
         if attrs:
             span.attrs.update(attrs)
-        self.flight.push(span)
+        self.flight.append(span)
 
     def record(
         self,
@@ -288,22 +279,32 @@ class SpanRecorder:
         whose start/end are known only after the submit."""
         if not self.enabled:
             return NO_SPAN
-        if len(self._spans) - self._lazy >= self.capacity:
+        span = self._admit(name, category, parent, partition, enclave, start_us, attrs)
+        if span is not NO_SPAN:
+            span.end_us = end_us
+            self.flight.append(span)
+        return span
+
+    def _admit(self, name, category, parent, partition, enclave, start_us, attrs):
+        """Store one new span in its trace: the admission path of
+        :meth:`begin` and :meth:`record`.  :data:`NO_SPAN` when over
+        capacity or for a late span of a discarded trace."""
+        if self._live_spans >= self.capacity:
             self.dropped += 1
             return NO_SPAN
         parent_ctx = self._resolve_parent(parent)
         if parent_ctx is not None and parent_ctx.trace_id in self._discarded:
-            # See begin(): late spans of a discarded trace are dropped.
+            # A late child of a trace the sampler already dropped: dropped
+            # too while the mark is live (see discard_trace).
             self.discarded_spans += 1
             return NO_SPAN
         ctx = self._make_context(parent_ctx)
+        # ``attrs`` is already a fresh per-call kwargs dict: no copy.
         span = Span(ctx, name, category, partition, enclave, start_us, attrs)
-        span.end_us = end_us
-        self._spans.append(span)
         self._by_trace.setdefault(ctx.trace_id, []).append(span)
+        self._live_spans += 1
         if partition is not None:
             self._partition_last[partition] = ctx
-        self.flight.push(span)
         return span
 
     def event(
@@ -334,7 +335,7 @@ class SpanRecorder:
         """Snapshot the flight ring into ``flight_dumps`` (the failover
         path calls this before scrubbing a crashed partition, so the last
         N spans leading up to the crash survive it)."""
-        snapshot = self.flight.snapshot()
+        snapshot = tuple(self.flight)
         if self.enabled:
             self.flight_dumps.append((self._clock.now, partition, reason, snapshot))
         return snapshot
@@ -347,37 +348,25 @@ class SpanRecorder:
     def discard_trace(self, trace_id: int) -> int:
         """Drop a whole trace (a tail sampler's negative retain decision).
 
-        Removal from the flat span list is lazy: the trace is marked dead
-        and physically compacted away only once discarded spans make up
-        half the list, so per-request discards stay amortized O(1).
-        While the mark is live, late spans arriving for the trace are
-        dropped by :meth:`begin`/:meth:`record` (counted in
-        ``discarded_spans``); after compaction clears the mark, a late
-        span starts a fresh, fully-consistent ``_by_trace`` entry.
+        The trace stays marked discarded, so late spans arriving for it
+        are dropped by :meth:`begin`/:meth:`record` (counted in
+        ``discarded_spans``), until the spans discarded under the live
+        marks reach both 512 and the live-span count; then every mark
+        clears and a late span starts a fresh ``_by_trace`` entry.
         Returns the number of spans discarded."""
         spans = self._by_trace.pop(trace_id, None)
         if spans is None:
             return 0
         count = len(spans)
+        self._live_spans -= count
         self._discarded.add(trace_id)
-        self._lazy += count
+        self._marked_spans += count
         self.discarded_spans += count
         self.discarded_traces += 1
-        # The absolute floor keeps steady-state discarding amortized O(1):
-        # without it, once most spans are dead every discard re-triggers
-        # an O(live) rebuild of a mostly-retained list.
-        if self._lazy >= 512 and self._lazy * 2 >= len(self._spans):
-            discarded = self._discarded
-            self._spans = [s for s in self._spans if s.context.trace_id not in discarded]
-            self._discarded = set()
-            self._lazy = 0
+        if self._marked_spans >= 512 and self._marked_spans >= self._live_spans:
+            self._discarded.clear()
+            self._marked_spans = 0
         return count
-
-    def _live(self) -> List[Span]:
-        if not self._discarded:
-            return self._spans
-        discarded = self._discarded
-        return [s for s in self._spans if s.context.trace_id not in discarded]
 
     # -- introspection -----------------------------------------------------
     def spans(
@@ -390,7 +379,10 @@ class SpanRecorder:
         if trace_id is not None:
             out: List[Span] = list(self._by_trace.get(trace_id, ()))
         else:
-            out = self._live()
+            out = sorted(
+                chain.from_iterable(self._by_trace.values()),
+                key=lambda span: span.context.seq,
+            )
         if category is not None:
             out = [s for s in out if s.category == category]
         if name is not None:
@@ -398,17 +390,17 @@ class SpanRecorder:
         return tuple(out)
 
     def clear(self) -> None:
-        self._spans.clear()
         self._stack.clear()
         self._partition_last.clear()
         self.flight_dumps.clear()
         self.flight.clear()
         self.dropped = 0
         self._by_trace.clear()
+        self._live_spans = 0
         self._discarded.clear()
-        self._lazy = 0
+        self._marked_spans = 0
         self.discarded_spans = 0
         self.discarded_traces = 0
 
     def __len__(self) -> int:
-        return len(self._spans) - self._lazy
+        return self._live_spans

@@ -37,54 +37,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.obs.alerts import AlertEngine, AlertRule, default_rules
 from repro.obs.export import chrome_trace
 from repro.obs.sampling import TailSampler
+from repro.obs.span import Span, SpanContext
 from repro.obs.timeseries import TimeSeriesStore
 
 _SLO_FIELDS = ("offered", "completed", "rejected", "expired", "p99_us")
 
 TRACE_BYTE_BUDGET = 512 * 1024
 """Bytes of retained traces each attached system's tail sampler may hold."""
-
-
-class _OrphanSpan:
-    """A span proxy re-rooted at its trace: used when a captured slice
-    contains a span whose parent was still open at capture time (the
-    request was in flight when the node died), so the exported trace
-    never carries a dangling parent reference."""
-
-    __slots__ = ("_span", "context")
-
-    def __init__(self, span) -> None:
-        from repro.obs.span import SpanContext
-
-        self._span = span
-        ctx = span.context
-        self.context = SpanContext(ctx.trace_id, ctx.span_id, None, ctx.seq)
-
-    def __getattr__(self, name):
-        return getattr(self._span, name)
-
-
-class _TraceSlice:
-    """A minimal recorder view over a fixed span list, so
-    :func:`~repro.obs.export.chrome_trace` can render a subset.
-    Spans whose parents did not make the slice are re-rooted."""
-
-    __slots__ = ("_spans",)
-
-    def __init__(self, spans) -> None:
-        spans = list(spans)
-        present = {s.context.span_id for s in spans}
-        self._spans = [
-            s
-            if s.context.parent_id is None or s.context.parent_id in present
-            else _OrphanSpan(s)
-            for s in spans
-        ]
-
-    def spans(self, *, trace_id=None):
-        if trace_id is None:
-            return tuple(self._spans)
-        return tuple(s for s in self._spans if s.context.trace_id == trace_id)
 
 
 class TelemetrySource:
@@ -246,7 +205,22 @@ class TelemetryPipeline:
                     for span in source.recorder.trace_spans(tid)
                     if span.end_us is not None
                 ]
-                trace = chrome_trace(_TraceSlice(spans))
+                present = {span.context.span_id for span in spans}
+                for index, span in enumerate(spans):
+                    ctx = span.context
+                    if ctx.parent_id is None or ctx.parent_id in present:
+                        continue
+                    # The parent was still open when the node died (the
+                    # request was in flight): export a copy re-rooted at
+                    # its trace, so the capture has no dangling parent.
+                    root = Span(
+                        SpanContext(ctx.trace_id, ctx.span_id, None, ctx.seq),
+                        span.name, span.category, span.partition, span.enclave,
+                        span.start_us, span.attrs,
+                    )
+                    root.end_us = span.end_us
+                    spans[index] = root
+                trace = chrome_trace(spans)
                 for tid in trace_ids:
                     source.sampler.note_recovery(tid)
         self.alerts.node_killed(t_us, node, recovery_trace=trace)

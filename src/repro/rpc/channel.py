@@ -71,8 +71,13 @@ class _Stream:
 
     MAILBOX_PAGES = 1
 
-    def __init__(self, channel: "SRPCChannel", stream_id: int, ring_pages: int) -> None:
+    def __init__(
+        self, channel: "SRPCChannel", stream_id: int, ring_pages: int, platform, spm, secret
+    ) -> None:
         self._channel = channel
+        self._platform = platform
+        self._spm = spm
+        self._secret = secret
         self.stream_id = stream_id
         # Baseline for detecting a peer crash (even crash + background
         # recovery) between enqueue and drain: a restart scrubs the ring,
@@ -82,7 +87,7 @@ class _Stream:
         self.grant, self.ring, self.mailbox_base = self._setup_smem(ring_pages)
         self._dcheck()
         self.consumer = Timeline(
-            channel._platform.clock,
+            platform.clock,
             name=f"srpc:{channel.callee.enclave.eid:#x}/s{stream_id}",
         )
         self.thread_started = False
@@ -101,7 +106,7 @@ class _Stream:
         if channel.caller.partition is channel.callee.partition:
             grant = None  # intra-mOS: no stage-2 grant needed
         else:
-            grant = channel._spm.share_pages(
+            grant = self._spm.share_pages(
                 channel.caller.partition, channel.callee.partition, pages
             )
         ring = SharedRingBuffer(
@@ -122,19 +127,19 @@ class _Stream:
         response = channel.callee.enclave.prove_secret(seen)
         channel.callee.partition.write(self.mailbox_base, response)
         echoed = channel.caller.partition.read(self.mailbox_base, len(response))
-        if not mac_valid(channel._secret, b"dcheck" + challenge, echoed):
+        if not mac_valid(self._secret, b"dcheck" + challenge, echoed):
             raise ChannelError("dCheck failed: peer does not hold secret_dhke")
 
     # -- data path ---------------------------------------------------------
     def enqueue(self, record: bytes) -> None:
-        costs = self._channel._platform.costs
+        costs = self._platform.costs
         if not self.thread_started:
             # The normal world spawns this stream's consumer thread on
             # first use (streams are created on demand, section IV-C).
-            self._channel._platform.clock.advance(costs.thread_spawn_us)
+            self._platform.clock.advance(costs.thread_spawn_us)
             self.thread_started = True
-        self._channel._platform.clock.advance(costs.srpc_enqueue_us(len(record)))
-        metrics = self._channel._platform.metrics
+        self._platform.clock.advance(costs.srpc_enqueue_us(len(record)))
+        metrics = self._platform.metrics
         metrics.counter("srpc", "enqueued").inc()
         metrics.histogram("srpc", "record_bytes").observe(len(record))
         duplicate = False
@@ -203,12 +208,12 @@ class _Stream:
                 ctx = None
         except Exception as exc:  # unpickling garbage raises a zoo of types
             self._raise_drain_failure(f"undecodable record ({exc!r})", cause=exc)
-        costs = self._channel._platform.costs
+        costs = self._platform.costs
         completion = self.consumer.submit(
             costs.enclave_entry_us
             + costs.copy_cost_us(len(record), per_kib=costs.smem_us_per_kib)
         )
-        obs = self._channel._platform.obs
+        obs = self._platform.obs
         if ctx is not None:
             # The consumer-side execution window, parented on the caller's
             # in-band context: this is the span that crosses the mEnclave
@@ -249,7 +254,7 @@ class _Stream:
         the failover path instead of treating it as a protocol bug."""
         if self._peer_failed_mid_stream():
             peer = self._channel.callee.partition
-            raise PeerFailedSignal(peer.name, page=self.ring._pages[0]) from cause
+            raise PeerFailedSignal(peer.name, page=self.ring.pages[0]) from cause
         raise ChannelError(f"{reason} (corrupt stream)") from cause
 
     def read_mailbox_result(self, result: Any) -> Any:
@@ -259,10 +264,9 @@ class _Stream:
         if len(blob) + 4 > self.MAILBOX_PAGES * PAGE_SIZE:
             # Big results (e.g. a tensor) are staged through freshly shared
             # pages; the timing equivalent is one smem copy of that size.
-            channel._platform.clock.advance(
-                channel._platform.costs.copy_cost_us(
-                    len(blob), per_kib=channel._platform.costs.smem_us_per_kib
-                )
+            costs = self._platform.costs
+            self._platform.clock.advance(
+                costs.copy_cost_us(len(blob), per_kib=costs.smem_us_per_kib)
             )
             return result
         channel.callee.partition.write(
@@ -291,7 +295,7 @@ class _Stream:
                 break
             pending.append(record)
         if self.grant is not None:
-            channel._spm.reclaim_grant(self.grant)
+            self._spm.reclaim_grant(self.grant)
         channel.caller.mos.shim.free_pages(old_pages)
         if _faults.ACTIVE is not None:
             # The expansion's most fragile instant: the old ring is torn
@@ -324,7 +328,7 @@ class _Stream:
     def smem_pages(self) -> Tuple[int, ...]:
         if self.grant is not None:
             return self.grant.pages
-        first = self.ring._pages[0]
+        first = self.ring.pages[0]
         last = self.mailbox_base // PAGE_SIZE
         return tuple(range(first, last + 1))
 
@@ -332,7 +336,7 @@ class _Stream:
         channel = self._channel
         self.consumer.join()
         if self.grant is not None:
-            channel._spm.reclaim_grant(self.grant)
+            self._spm.reclaim_grant(self.grant)
         try:
             channel.caller.mos.shim.free_pages(self.smem_pages())
         except (SPMError, PeerFailedSignal):
@@ -371,7 +375,8 @@ class SRPCChannel:
         """Swallowed-but-expected smem reclaim failures (see release)."""
 
         self._attest_peer(expected_measurement)
-        self._streams: Dict[int, _Stream] = {0: _Stream(self, 0, ring_pages)}
+        self._streams: Dict[int, _Stream] = {}
+        self.stream(0)
         # Register with both mOSes so enclave-level failures tear the
         # channel down (section IV-D, "Handling mEnclave failures").
         callee.mos.manager.register_channel(callee.enclave.eid, self)
@@ -409,7 +414,9 @@ class SRPCChannel:
         """The per-thread stream, created on demand (with its own smem,
         dCheck and consumer thread)."""
         if stream_id not in self._streams:
-            self._streams[stream_id] = _Stream(self, stream_id, self._ring_pages)
+            self._streams[stream_id] = _Stream(
+                self, stream_id, self._ring_pages, self._platform, self._spm, self._secret
+            )
         return self._streams[stream_id]
 
     def stream_count(self) -> int:

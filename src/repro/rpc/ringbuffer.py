@@ -65,11 +65,12 @@ class SharedRingBuffer:
         # Identity IPA mapping means both sides address the same numbers.
         self._producer = producer
         self._consumer = consumer
-        self._pages = tuple(sorted(pages))
-        for a, b in zip(self._pages, self._pages[1:]):
+        self.pages = tuple(sorted(pages))
+        """The ring's contiguous shared pages (read-only outside the ring)."""
+        for a, b in zip(self.pages, self.pages[1:]):
             if b != a + 1:
                 raise RingBufferError("ring buffer pages must be contiguous")
-        self._base = self._pages[0] * PAGE_SIZE
+        self._base = self.pages[0] * PAGE_SIZE
         self.capacity = len(pages) * PAGE_SIZE - _HEADER
         # Initialize the header through the producer's mapping.
         producer.write(self._base, b"\x00" * _HEADER)
@@ -90,9 +91,8 @@ class SharedRingBuffer:
         self.header_refreshes = 0
         # Observability handles, called unconditionally per push/pop: a
         # disabled recorder and registry record nothing.
-        platform = producer._spm._platform
-        self._obs = platform.obs
-        self._metrics = platform.metrics
+        self._obs = producer.platform.obs
+        self._metrics = producer.platform.metrics
 
     # -- header fields ---------------------------------------------------
     def _read_u64(self, partition: Partition, offset: int) -> int:
@@ -256,7 +256,7 @@ class SharedRingBuffer:
             executing.restarts != restarts
             or executing.state is not PartitionState.READY
         ):
-            raise PeerFailedSignal(executing.name, page=self._pages[0])
+            raise PeerFailedSignal(executing.name, page=self.pages[0])
         return act
 
     def pending(self) -> int:

@@ -12,7 +12,7 @@ import enum
 from typing import Optional, TYPE_CHECKING
 
 from repro.faults import injector as _faults
-from repro.hw.memory import PAGE_SIZE, PhysicalMemory, SECURE_WORLD
+from repro.hw.memory import PAGE_SIZE, SECURE_WORLD
 from repro.hw.pagetable import PageFault, PageTable
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
@@ -20,6 +20,7 @@ _PAGE_MASK = PAGE_SIZE - 1
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.hw.devices import Device
+    from repro.hw.platform import Platform
     from repro.secure.spm import SPM
 
 
@@ -50,7 +51,7 @@ class Partition:
         partition_id: int,
         name: str,
         device: "Device",
-        memory: PhysicalMemory,
+        platform: "Platform",
         spm: "SPM",
     ) -> None:
         self.partition_id = partition_id
@@ -58,7 +59,8 @@ class Partition:
         self.device = device
         self.state = PartitionState.READY
         self.stage2 = PageTable(name=f"stage2:{name}")
-        self._memory = memory
+        self.platform = platform
+        self._memory = platform.memory
         self._spm = spm
         self.restarts = 0
         # Direct reference to the stage-2 TLB dict: the fast lanes below

@@ -98,7 +98,7 @@ class SPM:
         for p in self._partitions.values():
             if p.device.name == device.name:
                 raise SPMError(f"device {device.name!r} already managed by {p.name!r}")
-        partition = Partition(self._next_id, name, device, self._platform.memory, self)
+        partition = Partition(self._next_id, name, device, self._platform, self)
         self._platform.tracer.emit("spm", "create-partition", name)
         self._partitions[name] = partition
         self._next_id += 1

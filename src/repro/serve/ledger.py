@@ -35,7 +35,7 @@ class RequestLedger:
         """rid -> completion instant (simulated us)."""
         self.expired: Set[str] = set()
         self.rejected_after_admit: Set[str] = set()
-        self._spans: Dict[str, object] = {}
+        self._request_spans: Dict[str, object] = {}
 
     def begin(self, name: str, request, **attrs):
         """Open ``request``'s root span (NO_SPAN while spans are off).  Roots
@@ -59,11 +59,11 @@ class RequestLedger:
         self._slo.record_admitted(request)
         self.admitted.add(request.rid)
         if span is not NO_SPAN:
-            self._spans[request.rid] = span
+            self._request_spans[request.rid] = span
 
     def context(self, rid: str):
         """``rid``'s open root span context (None when untraced)."""
-        span = self._spans.get(rid)
+        span = self._request_spans.get(rid)
         return None if span is None else span.context
 
     def requeue(self, request):
@@ -101,7 +101,7 @@ class RequestLedger:
 
     def _settle(self, request, at_us: float, sampled: str, attrs) -> None:
         self._admission.settle(request)
-        span = self._spans.pop(request.rid, NO_SPAN)
+        span = self._request_spans.pop(request.rid, NO_SPAN)
         self._close(span, request, at_us, sampled, attrs)
 
     def _close(self, span, request, at_us: float, sampled: str, attrs) -> None:

@@ -89,7 +89,6 @@ class CronusSystem(System):
         *,
         cuda_kernels: Tuple[str, ...] = (),
         npu_programs: Optional[Dict[str, object]] = None,
-        cpu_functions: Optional[Dict[str, object]] = None,
         gpu_name: Optional[str] = None,
         owner: str = "app",
         **_ignored,
@@ -98,7 +97,7 @@ class CronusSystem(System):
         app = self.application(owner)
         cpu_image = CpuImage(
             name=f"{owner}-cpu",
-            functions=dict(cpu_functions or {"noop": lambda state: None}),
+            functions={"noop": lambda state: None},
         )
         cuda_image = (
             CudaImage(name=f"{owner}-cuda", kernels=tuple(cuda_kernels))

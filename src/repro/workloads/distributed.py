@@ -26,7 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.sim import CostModel
-from repro.workloads.datasets import Dataset, synthetic_mnist
+from repro.workloads.datasets import synthetic_mnist
 from repro.workloads.dnn import TRAINING_KERNELS, lenet
 
 MODES = ("p2p", "secure-staging", "encrypted")
@@ -91,7 +91,6 @@ def data_parallel_train(
     total_samples: int = 128,
     batch_size: int = 16,
     lr: float = 0.05,
-    dataset: Dataset = None,
 ) -> DataParallelResult:
     """Train LeNet data-parallel on ``gpus`` GPUs of ``system``, measuring
     the time to process ``total_samples`` samples (the figure 11b y-axis:
@@ -105,7 +104,7 @@ def data_parallel_train(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     steps = max(1, total_samples // (batch_size * gpus))
-    data = dataset or synthetic_mnist(batch_size * gpus * 2)
+    data = synthetic_mnist(batch_size * gpus * 2)
     runtimes, models = [], []
     for g in range(gpus):
         rt = system.runtime(

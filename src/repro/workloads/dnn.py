@@ -251,15 +251,15 @@ class ResidualBlock(Layer):
     Keeps channel count and spatial size (kernel 1 convolutions, so valid
     padding preserves shape)."""
 
-    def __init__(self, channels: int, *, batch_norm: bool = True) -> None:
+    def __init__(self, channels: int) -> None:
         self.channels = channels
-        self.inner: List[Layer] = [Conv2d(channels, kernel=1)]
-        if batch_norm:
-            self.inner.append(BatchNorm2d())
-        self.inner.append(ReLU())
-        self.inner.append(Conv2d(channels, kernel=1))
-        if batch_norm:
-            self.inner.append(BatchNorm2d())
+        self.inner: List[Layer] = [
+            Conv2d(channels, kernel=1),
+            BatchNorm2d(),
+            ReLU(),
+            Conv2d(channels, kernel=1),
+            BatchNorm2d(),
+        ]
 
     def build(self, rt, input_shape, rng):
         shape = input_shape
@@ -607,7 +607,6 @@ def spatial_sharing_throughput(
     *,
     steps: int = 6,
     batch_size: int = 16,
-    model_builder=lenet,
 ) -> float:
     """Aggregate training throughput (steps per simulated second) with
     ``tenants`` mEnclaves spatially sharing one GPU (figure 11a).
@@ -625,7 +624,7 @@ def spatial_sharing_throughput(
     runtimes, models = [], []
     for t in range(tenants):
         rt = system.runtime(cuda_kernels=TRAINING_KERNELS, owner=f"tenant-{t}")
-        model = model_builder()
+        model = lenet()
         model.build(rt, (batch_size, 1, 8, 8), seed=t)
         runtimes.append(rt)
         models.append(model)

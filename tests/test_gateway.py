@@ -175,7 +175,7 @@ class TestCrossNodeWorkflow:
 
     def test_single_validated_chrome_trace(self):
         gateway, result = self.build()
-        trace = chrome_trace(gateway.obs, trace_id=result.trace_id)
+        trace = chrome_trace(gateway.obs.spans(trace_id=result.trace_id))
         assert validate_chrome_trace(trace) == []
         names = {e.get("name") for e in trace["traceEvents"]}
         assert "workflow:gpu-npu" in names

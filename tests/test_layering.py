@@ -2,10 +2,10 @@
 
 A cluster drives its nodes, and the gateway drives the cluster, through
 their public interfaces, the way mEnclaves meet only through sRPC; every
-other layer but rpc keeps to the same rule.  This test fails on any read
-or write of an ``_``-prefixed attribute of an object other than ``self``
-or ``cls`` in those packages (dunders such as ``__name__`` are public
-protocol and allowed).
+other layer keeps to the same rule.  This test fails on any read or write
+of an ``_``-prefixed attribute of an object other than ``self`` or ``cls``
+in those packages (dunders such as ``__name__`` are public protocol and
+allowed).
 
 Instrumentation sites call the span recorder and the metrics registry
 unconditionally: disabled, they are null objects.  So no module outside
@@ -21,7 +21,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 GUARDED = (
     "cluster", "gateway", "serve", "sim", "hw", "mos", "enclave", "crypto", "metrics",
-    "obs", "accel", "attacks", "dispatch", "faults", "secure", "systems", "workloads",
+    "obs", "accel", "attacks", "dispatch", "faults", "rpc", "secure", "systems",
+    "workloads",
 )
 ENABLED_READERS = ("obs/", "metrics/trace.py", "__main__.py")
 

@@ -201,9 +201,11 @@ class TestHal:
         with pytest.raises(HalError):
             GpuHal(cpu_device, cronus.moses["cpu0"].shim)
 
-    def test_gpu_context_limit(self, cronus):
+    def test_gpu_context_limit(self, cronus, monkeypatch):
+        from repro.mos import hal as hal_module
+
+        monkeypatch.setattr(hal_module, "MAX_GPU_CONTEXTS", 2)
         hal = cronus.moses["gpu0"].hal
-        hal.max_contexts = 2
         hal.create_gpu_context("a")
         hal.create_gpu_context("b")
         with pytest.raises(HalError, match="context limit"):

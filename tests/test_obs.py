@@ -231,7 +231,7 @@ class TestFailoverTracePropagation:
 
     def test_chrome_trace_passes_the_schema_gate(self, failover):
         system, _ = failover
-        data = chrome_trace(system.platform.obs)
+        data = chrome_trace(system.platform.obs.spans())
         assert validate_chrome_trace(data) == []
         events = data["traceEvents"]
         processes = [e for e in events if e["name"] == "process_name"]

@@ -1,12 +1,11 @@
-"""Option guard: every settable option in the serving stack has a caller.
+"""Option guard: every settable option in the package has a caller.
 
 An option that no caller ever sets is a branch no workload runs and one
 more configuration every test and benchmark would have to cover.  For
-each public function and method (``__init__`` included) in the serve,
-cluster, obs, faults and gateway packages, every keyword-only parameter
-with a default must be passed by name at least once somewhere in the
-repository's code: the package itself, the tests, benchmarks, perfbench,
-examples or scripts.  A value that is fixed everywhere belongs in a
+each public function and method (``__init__`` included) in every module
+of ``repro``, every keyword-only parameter with a default must be passed
+by name at least once somewhere in the repository's code: the package
+itself, the tests, benchmarks, perfbench, examples or scripts.  A value that is fixed everywhere belongs in a
 module constant.  ``serve/legacy.py`` is the frozen reference engine the
 equivalence suite compares against, so it is exempt.
 
@@ -22,7 +21,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-GUARDED = ("serve", "cluster", "obs", "faults", "gateway")
 EXEMPT = (SRC / "serve" / "legacy.py",)
 CALLER_DIRS = ("src", "tests", "benchmarks", "perfbench", "examples", "scripts")
 
@@ -68,15 +66,14 @@ def unset_options(defined, passed):
 
 def test_every_keyword_option_is_set_by_some_caller():
     defined = []
-    for pkg in GUARDED:
-        for path in sorted((SRC / pkg).rglob("*.py")):
-            if path in EXEMPT:
-                continue
-            rel = path.relative_to(SRC)
-            defined.extend(
-                (f"{rel}:{qual}", param)
-                for qual, param in keyword_options(path.read_text())
-            )
+    for path in sorted(SRC.rglob("*.py")):
+        if path in EXEMPT:
+            continue
+        rel = path.relative_to(SRC)
+        defined.extend(
+            (f"{rel}:{qual}", param)
+            for qual, param in keyword_options(path.read_text())
+        )
     passed = set()
     for name in CALLER_DIRS:
         for path in sorted((ROOT / name).rglob("*.py")):
