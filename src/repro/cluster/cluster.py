@@ -101,13 +101,20 @@ class Cluster:
         """
         verifications = 0
         rejected = set()
+        # One client per target for this mesh only: its anchors check each
+        # endorsement once, while every pair's fresh report is verified.
+        clients = {
+            node.name: RemoteClient.for_system(node.system)
+            for node in self.nodes
+            if node.alive
+        }
         for verifier in self.nodes:
             if not verifier.alive:
                 continue
             for target in self.nodes:
                 if target is verifier or not target.alive:
                     continue
-                client = RemoteClient.for_system(target.system)
+                client = clients[target.name]
                 try:
                     client.verify(target.system.attest_platform(), target.device_certs())
                 except (AttestationError, HalError):

@@ -9,13 +9,42 @@ pins expected measurements, and only then provisions sealed data.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Set, Tuple
 
 from repro.crypto.certs import Certificate
-from repro.crypto.keys import PublicKey
+from repro.crypto.keys import PublicKey, Signature
 from repro.crypto.seal import seal
 from repro.hw.devicetree import DeviceTree
 from repro.secure.monitor import AttestationError, AttestationReport, verify_attestation_report
+
+
+@dataclass(frozen=True)
+class _VerifiedAnchor(PublicKey):
+    """A trust anchor that remembers the endorsements it has verified.
+
+    :meth:`PublicKey.verify` is pure, so a ``(message, e, s)`` triple that
+    verified once verifies again: the client checks each endorsement once
+    for as long as it lives.  Report signatures are checked by the AtK key
+    inside each report, not by an anchor, so every report is still verified.
+    A failed check is never remembered.  Being a :class:`PublicKey`, the
+    anchor keeps every other key method (``is_valid`` goes through the memo,
+    ``fingerprint`` and ``element`` are the wrapped key's).
+    """
+
+    _verified: Set[Tuple[bytes, int, int]] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def of(cls, key: PublicKey) -> "_VerifiedAnchor":
+        return cls(key.element, key.label)
+
+    def verify(self, message: bytes, signature: Signature) -> None:
+        triple = (message, signature.e, signature.s)
+        if triple not in self._verified:
+            super().verify(message, signature)
+            self._verified.add(triple)
 
 
 class RemoteClient:
@@ -28,8 +57,10 @@ class RemoteClient:
         *,
         expected_mos_hashes: Optional[Dict[str, str]] = None,
     ) -> None:
-        self._attestation_anchor = attestation_anchor
-        self._vendor_anchors = dict(vendor_anchors)
+        self._attestation_anchor = _VerifiedAnchor.of(attestation_anchor)
+        self._vendor_anchors = {
+            name: _VerifiedAnchor.of(key) for name, key in vendor_anchors.items()
+        }
         self._expected_mos_hashes = dict(expected_mos_hashes or {})
         self._verified_report: Optional[AttestationReport] = None
 

@@ -46,6 +46,7 @@ class HAL:
         self.device = device
         self.shim = shim
         self.interrupts_handled = []
+        self._proven: Optional[tuple] = None
         # The driver maps the device's registers through the shim and
         # claims the device's interrupt line (page faults, queue events).
         shim.ioremap(device.name, device.mmio.base, device.mmio.size)
@@ -65,15 +66,19 @@ class HAL:
         """Authenticity check: the device proves ownership of PubK_acc and
         the vendor endorsement verifies.  Returns PubK_acc for inclusion in
         the attestation report; raises :class:`HalError` on fabricated or
-        unendorsed hardware."""
+        unendorsed hardware.  The last passing check is remembered until the
+        anchor, the endorsement or the configuration (its epoch) changes."""
         cert = self.device.vendor_cert
         if cert is None:
             raise HalError(f"device {self.device.name!r} carries no vendor endorsement")
+        blob = self.device.configuration_blob()
+        proof = (vendor_anchor, cert, blob)
+        if proof == self._proven:
+            return self.device.public_key
         try:
             verify_certificate(cert, vendor_anchor)
         except CertificateError as exc:
             raise HalError(str(exc)) from exc
-        blob = self.device.configuration_blob()
         signature = self.device.sign_configuration(blob)
         try:
             self.device.public_key.verify(blob, signature)
@@ -81,6 +86,7 @@ class HAL:
             raise HalError(f"device {self.device.name!r} failed key-ownership proof") from exc
         if cert.subject.fingerprint() != self.device.public_key.fingerprint():
             raise HalError(f"device {self.device.name!r} key does not match endorsement")
+        self._proven = proof
         return self.device.public_key
 
 

@@ -221,8 +221,14 @@ class NativeLinux(BaselineSystem):
     fault_isolated = False
     security_isolated = False
 
-    def runtime(self, *, gpu_name: str = "gpu0", owner: str = "app",
-                npu_programs=None, **_ignored):
+    def runtime(
+        self,
+        *,
+        cuda_kernels: Tuple[str, ...] = (),
+        npu_programs: Optional[Dict[str, object]] = None,
+        gpu_name: str = "gpu0",
+        owner: str = "app",
+    ):
         return DirectRuntime(
             self.platform, per_call_us=0.0, gpu_name=gpu_name, owner=owner,
             npu_programs=npu_programs,
@@ -241,8 +247,14 @@ class MonolithicTrustZone(BaselineSystem):
     fault_isolated = False
     security_isolated = False
 
-    def runtime(self, *, gpu_name: str = "gpu0", owner: str = "app",
-                npu_programs=None, **_ignored):
+    def runtime(
+        self,
+        *,
+        cuda_kernels: Tuple[str, ...] = (),
+        npu_programs: Optional[Dict[str, object]] = None,
+        gpu_name: str = "gpu0",
+        owner: str = "app",
+    ):
         costs = self.platform.costs
         # Entering the secure world once per session.
         self.clock.advance(2 * costs.world_switch_us)
@@ -338,7 +350,14 @@ class HixTrustZone(BaselineSystem):
         self.transport = UntrustedTransport()
         self._next_local = 1
 
-    def runtime(self, *, cuda_kernels: Tuple[str, ...] = (), gpu_name: str = "gpu0", **_ignored):
+    def runtime(
+        self,
+        *,
+        cuda_kernels: Tuple[str, ...] = (),
+        npu_programs: Optional[Dict[str, object]] = None,
+        gpu_name: str = "gpu0",
+        owner: str = "app",
+    ):
         if self._gpu_busy:
             raise SystemError(
                 "HIX grants the GPU enclave dedicated access: "

@@ -91,7 +91,6 @@ class CronusSystem(System):
         npu_programs: Optional[Dict[str, object]] = None,
         gpu_name: Optional[str] = None,
         owner: str = "app",
-        **_ignored,
     ) -> PartitionedRuntime:
         """Auto-partition a heterogeneous task into mEnclaves + sRPC."""
         app = self.application(owner)

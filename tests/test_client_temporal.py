@@ -77,6 +77,48 @@ class TestRemoteClient:
         with pytest.raises(AttestationError):
             client.verify(cronus.attest_platform(), _device_certs(cronus))
 
+    def test_warm_client_still_rejects_every_forgery(self, cronus):
+        """A client's anchors remember the endorsements they verified; a
+        client that has accepted the genuine report must still refuse each
+        forgery, and accept the genuine report again afterwards."""
+        from dataclasses import replace
+
+        from repro.crypto.certs import CertificateAuthority
+
+        client = RemoteClient.for_system(cronus)
+        report, certs = cronus.attest_platform(), _device_certs(cronus)
+        client.verify(report, certs)
+        gpu, gpu_cert = "gpu0", certs["gpu0"]
+        other = next(name for name in certs if name != gpu)
+        rogue = CertificateAuthority(gpu_cert.issuer_name, b"rogue-ca-seed")
+        forgeries = {
+            "signature": (replace(report, menclave_hashes={"0xdead": "ff" * 32}), certs),
+            "unsigned": (replace(report, signature=None), certs),
+            "no vendor certificate": (report, {k: v for k, v in certs.items() if k != gpu}),
+            "unknown vendor": (report, {**certs, gpu: CertificateAuthority(
+                "acme", b"acme-seed").endorse(gpu, gpu_cert.subject)}),
+            "not endorsed": (report, {**certs, gpu: rogue.endorse(gpu, gpu_cert.subject)}),
+            "fingerprint": (report, {**certs, gpu: certs[other]}),
+        }
+        for match, (forged, forged_certs) in forgeries.items():
+            with pytest.raises(AttestationError, match=match):
+                client.verify(forged, forged_certs)
+        assert client.verify(report, certs) is report
+
+    def test_anchors_keep_the_public_key_interface(self, cronus):
+        """Attestation code may use an anchor as any ``PublicKey``."""
+        from repro.crypto.keys import PublicKey
+        from repro.dispatch.client import _VerifiedAnchor
+
+        key = cronus.platform.attestation_service.public
+        anchor = _VerifiedAnchor.of(key)
+        cert = cronus.attest_platform().atk_certificate
+        assert isinstance(anchor, PublicKey)
+        assert anchor.fingerprint() == key.fingerprint()
+        assert anchor.is_valid(cert.payload(), cert.signature)
+        assert anchor.is_valid(cert.payload(), cert.signature)
+        assert not anchor.is_valid(b"forged", cert.signature)
+
 
 class TestHixTemporalSharing:
     def test_first_tenant_pays_no_reset(self):

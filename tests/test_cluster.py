@@ -83,6 +83,46 @@ class TestClusterMesh:
         assert [n.attested for n in cluster] == [n.name not in dead for n in cluster]
 
 
+MESH_8X2_VERIFIES = {
+    # Every ordered pair's fresh report signature: 8 * 7.
+    "AtK": 56,
+    # One client per target: its anchors check each endorsement once.
+    "ca:attestation-service": 8,
+    # 8 HAL proofs of the GPUs (16) + 8 targets' two GPU endorsements (16).
+    "ca:nvidia": 32,
+    # 8 HAL proofs of the NPU + 8 targets' NPU endorsement.
+    "ca:vta": 16,
+    # One key-ownership proof per device and configuration epoch.
+    "dev:gpu0": 8,
+    "dev:gpu1": 8,
+    "dev:npu0": 8,
+}
+
+
+class TestMeshVerifyCounts:
+    def test_8x2_mesh_checks_each_fact_once(self, verify_calls):
+        """136 Schnorr verifies, not a full chain per ordered pair (616):
+        every pair's report signature is still checked.  A second fresh
+        cluster in the same process pays in full again: no memo is shared
+        between clusters."""
+        for _ in range(2):
+            verify_calls.clear()
+            assert Cluster(8, gpus_per_node=2).attest_mesh() == 56
+            assert verify_calls == MESH_8X2_VERIFIES
+            assert sum(verify_calls.values()) == 136
+
+    def test_second_mesh_on_the_same_cluster_rechecks_certificates(self, verify_calls):
+        """The HAL proofs hold until a device's configuration changes; the
+        certificate memo dies with its mesh, and every report is checked."""
+        cluster = Cluster(3)
+        cluster.attest_mesh()
+        verify_calls.clear()
+        assert cluster.attest_mesh() == 6
+        assert verify_calls == {
+            "AtK": 6, "ca:attestation-service": 3, "ca:nvidia": 3, "ca:vta": 3,
+        }
+
+
 class TestClusterMembership:
     def test_iteration_is_creation_order(self):
         cluster = Cluster(num_nodes=4)

@@ -340,3 +340,34 @@ class TestBacklog:
         )
         assert report.steals > 0
         assert any(checked)
+
+
+class TestOneNodeMetamorphic:
+    """A one-node cluster without migration is the single-node engine
+    behind a router with one candidate: on the same trace both render
+    byte-equal SLO tables, the node's own and the merged one."""
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["no-crash", "gpu0-crash"])
+    def test_one_node_cluster_matches_standalone_engine(self, crash):
+        from repro.serve.frontend import ServingSystem
+        from repro.systems import CronusSystem, TestbedConfig
+
+        specs, requests = small_trace(requests=300)
+        crash_at = requests[len(requests) // 2].arrival_us
+        serving = build(1, gpus=2, migration=False)
+        serving.add_tenants(specs)
+        clustered = serving.run(
+            requests, crash_events=[(crash_at, "node0", "gpu0")] if crash else ()
+        )
+        alone = ServingSystem(
+            CronusSystem(TestbedConfig(num_gpus=2)),
+            service_model=synthetic_service_model(),
+        )
+        for spec in specs:
+            alone.add_tenant(spec)
+        standalone = alone.run(
+            requests, crash_events=[(crash_at, "gpu0")] if crash else ()
+        )
+        assert clustered.per_node["node0"].slo_text == standalone.slo_text
+        assert clustered.slo_text == standalone.slo_text
+        assert standalone.completed

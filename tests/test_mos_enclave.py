@@ -194,6 +194,44 @@ class TestHal:
         with pytest.raises(HalError):
             mos.hal.attest_device(wrong_anchor)
 
+    def test_reattestation_in_the_same_epoch_verifies_nothing(self, cronus, verify_calls):
+        mos = cronus.moses["gpu0"]
+        anchor = cronus.platform.vendors["nvidia"].public
+        mos.hal.attest_device(anchor)
+        assert verify_calls == {"ca:nvidia": 1, "dev:gpu0": 1}
+        verify_calls.clear()
+        assert mos.hal.attest_device(anchor) is mos.partition.device.public_key
+        assert sum(verify_calls.values()) == 0
+
+    def test_cleared_device_proves_itself_again(self, cronus, verify_calls):
+        mos = cronus.moses["gpu0"]
+        anchor = cronus.platform.vendors["nvidia"].public
+        mos.hal.attest_device(anchor)
+        mos.partition.device.clear_state()
+        verify_calls.clear()
+        assert mos.hal.attest_device(anchor) is mos.partition.device.public_key
+        assert verify_calls == {"ca:nvidia": 1, "dev:gpu0": 1}
+
+    def test_endorsement_swapped_after_attestation_is_rejected(self, cronus):
+        from repro.crypto import CertificateAuthority
+
+        mos = cronus.moses["gpu0"]
+        device = mos.partition.device
+        anchor = cronus.platform.vendors["nvidia"].public
+        mos.hal.attest_device(anchor)
+        rogue = CertificateAuthority(device.vendor_cert.issuer_name, b"rogue-ca-seed")
+        device.vendor_cert = rogue.endorse(device.name, device.public_key)
+        with pytest.raises(HalError, match="not endorsed"):
+            mos.hal.attest_device(anchor)
+
+    def test_failed_check_is_never_remembered(self, cronus, verify_calls):
+        mos = cronus.moses["gpu0"]
+        wrong_anchor = cronus.platform.vendors["vta"].public
+        for _ in range(2):
+            with pytest.raises(HalError):
+                mos.hal.attest_device(wrong_anchor)
+        assert verify_calls == {"ca:vta": 2}
+
     def test_hal_device_type_guard(self, cronus):
         from repro.mos.hal import GpuHal
 

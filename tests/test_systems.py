@@ -1,13 +1,18 @@
 """Assembled systems: cross-system equivalence, overheads, requirements."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import repro.systems
 from repro.systems import (
+    BaselineSystem,
     CronusSystem,
     HixTrustZone,
     MonolithicTrustZone,
     NativeLinux,
+    System,
     SystemError,
     TestbedConfig,
 )
@@ -46,6 +51,31 @@ class TestCrossSystemEquivalence:
         _, cronus = _run_gemm(CronusSystem())
         overhead = (cronus - native) / native
         assert overhead < 0.071, f"CRONUS overhead {overhead:.1%} exceeds 7.1%"
+
+
+class TestRuntimeOptions:
+    """Every system's ``runtime`` takes exactly the options its callers
+    pass, so a misspelt or removed option fails loudly."""
+
+    RUNTIME_OPTIONS = ["cuda_kernels", "npu_programs", "gpu_name", "owner"]
+
+    def test_every_exported_system_is_covered(self):
+        exported = {
+            obj for obj in vars(repro.systems).values()
+            if isinstance(obj, type) and issubclass(obj, System)
+        }
+        assert exported - {System, BaselineSystem} == set(ALL_SYSTEMS)
+
+    @pytest.mark.parametrize("system_cls", ALL_SYSTEMS, ids=lambda cls: cls.__name__)
+    def test_runtime_signature(self, system_cls):
+        params = list(inspect.signature(system_cls.runtime).parameters.values())[1:]
+        assert [p.name for p in params] == self.RUNTIME_OPTIONS
+        assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params)
+
+    @pytest.mark.parametrize("system_cls", ALL_SYSTEMS, ids=lambda cls: cls.__name__)
+    def test_misspelt_option_raises(self, system_cls):
+        with pytest.raises(TypeError, match="gpu_nmae"):
+            system_cls().runtime(gpu_nmae="gpu1")
 
 
 class TestRequirementProbes:
