@@ -17,6 +17,7 @@ from repro.attacks.adversaries import (
 from repro.attacks.scenarios import (
     AttackOutcome,
     attempt_bad_device_tree,
+    attempt_code_carrying_record,
     attempt_crashed_info_leak,
     attempt_deadlock_after_crash,
     attempt_drop,
@@ -42,6 +43,7 @@ __all__ = [
     "TamperAdversary",
     "AttackOutcome",
     "attempt_bad_device_tree",
+    "attempt_code_carrying_record",
     "attempt_crashed_info_leak",
     "attempt_deadlock_after_crash",
     "attempt_drop",

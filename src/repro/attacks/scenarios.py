@@ -8,8 +8,9 @@ drive the same public paths an attacker controls.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Set
 
 import numpy as np
 
@@ -247,6 +248,63 @@ def attempt_srpc_eavesdrop(system: CronusSystem) -> AttackOutcome:
     return AttackOutcome("srpc-eavesdrop", False, "ring buffer readable from normal world!")
 
 
+#: Markers of code-carrying payloads that actually ran (the witness of
+#: :func:`attempt_code_carrying_record`).
+EXECUTED_PAYLOADS: Set[str] = set()
+
+
+class _CodeCarryingArgument:
+    """An mECall argument whose unpickling runs code, the way a pickle
+    written by a compromised peer would: ``REDUCE`` calls ``exec``."""
+
+    def __init__(self, marker: str) -> None:
+        self.marker = marker
+
+    def __reduce__(self):
+        return (exec, (
+            "import repro.attacks.scenarios as s; "
+            f"s.EXECUTED_PAYLOADS.add({self.marker!r})",
+        ))
+
+
+def attempt_code_carrying_record(system: CronusSystem) -> AttackOutcome:
+    """A compromised producer writes a well-framed ring record whose pickle
+    names ``exec``; the consumer's codec must refuse it before any code
+    runs or the callee serves anything."""
+    app = system.application("codec-app")
+    image = _cpu_image()
+    caller = app.create_enclave(_cpu_manifest(image), image, "victim.so")
+    callee = app.create_enclave(_cpu_manifest(image), image, "victim.so")
+    channel = app.open_channel(caller, callee)
+    stream = channel.stream(0)
+    marker = f"code-carrying:{id(channel):#x}"
+    served, sid = callee.enclave.calls_served, stream.ring.sid
+    stream.ring.push(pickle.dumps(("store", (_CodeCarryingArgument(marker),), {})))
+    try:
+        stream.drain_one()
+    except ChannelError as exc:
+        refused = str(exc)
+    else:
+        refused = None
+    side_effects = [
+        what
+        for what, happened in (
+            ("payload ran", marker in EXECUTED_PAYLOADS),
+            ("callee served the call", callee.enclave.calls_served != served),
+            ("Sid moved", stream.ring.sid != sid),
+        )
+        if happened
+    ]
+    channel.close()
+    EXECUTED_PAYLOADS.discard(marker)
+    if refused is not None and not side_effects:
+        return AttackOutcome("code-carrying-record", True, refused)
+    return AttackOutcome(
+        "code-carrying-record", False,
+        f"refused={refused is not None} side effects={side_effects}",
+    )
+
+
 def attempt_mos_substitution(system: CronusSystem) -> AttackOutcome:
     """After a crash, a malicious mOS stands up an impostor mEnclave; the
     creator's channel setup must fail dCheck (the impostor lacks
@@ -368,6 +426,7 @@ _SCENARIOS: Dict[str, Callable] = {
     "rpc-tamper": attempt_tamper,
     "srpc-eavesdrop": attempt_srpc_eavesdrop,
     "mos-substitution": attempt_mos_substitution,
+    "code-carrying-record": attempt_code_carrying_record,
     "toctou-after-crash": attempt_toctou_after_crash,
     "deadlock-after-crash": attempt_deadlock_after_crash,
     "crashed-info-leak": attempt_crashed_info_leak,

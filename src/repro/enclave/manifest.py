@@ -48,18 +48,21 @@ class Manifest:
             raise ManifestError(f"unknown device type {self.device_type!r}")
         if self.memory_bytes <= 0:
             raise ManifestError(f"bad memory capacity {self.memory_bytes}")
-        names = [c.name for c in self.mecalls]
-        if len(names) != len(set(names)):
+        by_name = {c.name: c for c in self.mecalls}
+        if len(by_name) != len(self.mecalls):
             raise ManifestError("duplicate mECall names")
+        # Not a field: the name index is derived, so equality, hashing and
+        # ``serialize()`` see only the declared tuple.
+        object.__setattr__(self, "_by_name", by_name)
 
     def mecall(self, name: str) -> MECallSpec:
-        for call in self.mecalls:
-            if call.name == name:
-                return call
-        raise ManifestError(f"mECall {name!r} not declared in manifest")
+        call = self._by_name.get(name) if isinstance(name, str) else None
+        if call is None:
+            raise ManifestError(f"mECall {name!r} not declared in manifest")
+        return call
 
     def allows(self, name: str) -> bool:
-        return any(c.name == name for c in self.mecalls)
+        return isinstance(name, str) and name in self._by_name
 
     def check_image(self, file_name: str, blob: bytes) -> None:
         """Verify one image blob against its declared hash."""

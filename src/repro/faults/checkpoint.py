@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.crypto.seal import AuthTagError, seal, unseal
+from repro.rpc.codec import loads
 
 
 class CheckpointError(Exception):
@@ -121,7 +122,10 @@ class CheckpointManager:
         self._platform.clock.advance(
             costs.copy_cost_us(len(raw), per_kib=costs.encryption_us_per_kib)
         )
-        return pickle.loads(raw)
+        try:
+            return loads(raw)
+        except (pickle.UnpicklingError, ValueError, EOFError) as exc:
+            raise CheckpointError(f"checkpoint {name!r} failed decoding: {exc}") from exc
 
     # -- GPU-state convenience --------------------------------------------
     def checkpoint_gpu(self, rt, name: str, handles: Dict[str, int]) -> int:

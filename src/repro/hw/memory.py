@@ -20,6 +20,7 @@ from repro.obs.metric import MetricsRegistry
 
 PAGE_SIZE = 4096
 ZERO_PAGE = bytes(PAGE_SIZE)
+_ZERO_VIEW = memoryview(ZERO_PAGE)
 
 NORMAL_WORLD = "normal"
 SECURE_WORLD = "secure"
@@ -86,7 +87,7 @@ class PhysicalMemory:
         for _, page, start, end in self._page_ranges(addr, length):
             chunk = self._pages.get(page)
             if chunk is not None:
-                chunk[start:end] = b"\x00" * (end - start)
+                chunk[start:end] = _ZERO_VIEW[: end - start]
         self.metrics.counter("memory", "zero_ranges").inc()
         self.metrics.counter("memory", "zeroed_bytes").inc(length)
 

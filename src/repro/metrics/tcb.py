@@ -27,6 +27,7 @@ TCB_GROUPS: Dict[str, Tuple[str, ...]] = {
         "crypto",
         "rpc/ringbuffer.py",
         "rpc/channel.py",
+        "rpc/codec.py",
         "mos/shim.py",
         "mos/manager.py",
         "mos/microos.py",

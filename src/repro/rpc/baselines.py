@@ -23,6 +23,7 @@ from typing import Any, Callable, List, Optional
 from repro.crypto.seal import AuthTagError, seal, unseal
 from repro.enclave.menclave import MEnclave, OwnershipError
 from repro.rpc.channel import EnclaveEndpoint
+from repro.rpc.codec import loads
 from repro.sim import CostModel, SimClock
 
 
@@ -92,7 +93,7 @@ class SyncRpcChannel:
         executed = False
         for wire in delivered:
             try:
-                rfn, rargs, rkwargs, counter, rtag = pickle.loads(wire)
+                rfn, rargs, rkwargs, counter, rtag = loads(wire)
                 result = enclave.mecall_untrusted(
                     rfn, rargs, rkwargs, counter=counter, tag=rtag
                 )
@@ -134,7 +135,7 @@ class EncryptedRpcChannel(SyncRpcChannel):
         for wire in delivered:
             try:
                 opened = unseal(self._secret, wire)
-                rfn, rargs, rkwargs, counter, rtag = pickle.loads(opened)
+                rfn, rargs, rkwargs, counter, rtag = loads(opened)
                 result = enclave.mecall_untrusted(
                     rfn, rargs, rkwargs, counter=counter, tag=rtag
                 )
@@ -143,6 +144,8 @@ class EncryptedRpcChannel(SyncRpcChannel):
                 raise RpcIntegrityError(f"ciphertext tampered: {exc}") from exc
             except OwnershipError as exc:
                 raise RpcIntegrityError(f"receiver rejected RPC: {exc}") from exc
+            except pickle.UnpicklingError as exc:
+                raise RpcIntegrityError(f"malformed RPC message: {exc}") from exc
         if not executed:
             raise RpcIntegrityError(f"RPC {fn!r} was not executed")
         return result

@@ -36,6 +36,7 @@ from repro.faults import injector as _faults
 from repro.hw.memory import PAGE_SIZE
 from repro.hw.pagetable import PageFault
 from repro.obs.span import NO_SPAN
+from repro.rpc.codec import RecordCodec, loads
 from repro.rpc.ringbuffer import RingBufferError, SharedRingBuffer
 from repro.secure.partition import Partition, PartitionState, PeerFailedSignal
 from repro.secure.spm import SPMError
@@ -196,16 +197,7 @@ class _Stream:
         if record is None:
             self._raise_drain_failure("consumer found an empty ring", cause=None)
         try:
-            # Records carry an optional 4th element: the in-band span
-            # context ``(trace_id, span_id)`` appended by the producer when
-            # observability is enabled (section IV-C's framing is opaque to
-            # the ring, so the tuple length is the version signal).
-            payload = pickle.loads(record)
-            if len(payload) == 4:
-                fn, args, kwargs, ctx = payload
-            else:
-                fn, args, kwargs = payload
-                ctx = None
+            fn, args, kwargs, ctx = self._channel.codec.decode(record)
         except Exception as exc:  # unpickling garbage raises a zoo of types
             self._raise_drain_failure(f"undecodable record ({exc!r})", cause=exc)
         costs = self._platform.costs
@@ -274,7 +266,10 @@ class _Stream:
         )
         raw_len = int.from_bytes(channel.caller.partition.read(self.mailbox_base, 4), "big")
         raw = channel.caller.partition.read(self.mailbox_base + 4, raw_len)
-        return pickle.loads(raw)
+        try:
+            return loads(raw)
+        except Exception as exc:
+            self._raise_drain_failure(f"undecodable result ({exc!r})", cause=exc)
 
     def _expand_smem(self, need_bytes: int) -> None:
         """Out-of-memory rule: expand smem and re-run dCheck (section IV-C).
@@ -369,6 +364,8 @@ class SRPCChannel:
         self._ring_pages = ring_pages
         self._failed_peer: Optional[str] = None
         self._closed = False
+        self.codec = RecordCodec()
+        """This channel's record codec: its memo dies with the channel."""
         self.calls_streamed = 0
         self.sync_points = 0
         self.reclaim_errors = 0
@@ -440,16 +437,14 @@ class SRPCChannel:
             stream=stream,
             sync=synchronous,
         )
-        if span is not NO_SPAN:
-            # In-band context propagation: the producer appends its span's
-            # (trace_id, span_id) to the serialized record, so the callee's
-            # partition parents its execution span under this call without
-            # any out-of-band channel.  Only when enabled — the record
-            # bytes (and therefore the enqueue costs) are untouched on
-            # disabled runs.
-            record = pickle.dumps((fn, args, kwargs, span.context.wire()))
-        else:
-            record = pickle.dumps((fn, args, kwargs))
+        # In-band context propagation: when enabled, the producer appends
+        # its span's (trace_id, span_id) to the serialized record, so the
+        # callee's partition parents its execution span under this call
+        # without any out-of-band channel.  The record bytes (and therefore
+        # the enqueue costs) are untouched on disabled runs.
+        record = self.codec.encode(
+            fn, args, kwargs, None if span is NO_SPAN else span.context.wire()
+        )
         try:
             s = self.stream(stream)
             s.enqueue(record)

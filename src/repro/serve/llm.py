@@ -205,8 +205,8 @@ class _TokenStreamer:
         self.generation = 0
         self.tokens_streamed = 0
         self.stream_failures = 0
-        # Refilled per token: ``SRPCChannel.call`` pickles it before
-        # returning, so each record still carries its own value.
+        # Refilled per token: ``SRPCChannel.call`` encodes it (by value)
+        # before returning, so each record still carries its own value.
         self._payload = np.empty(self._MAILBOX_SHAPE, dtype=np.float32)
 
     def _ensure(self):
@@ -482,8 +482,9 @@ class LLMEngine:
         """Fill the sequence's KV for its whole current context (prompt
         plus any tokens already emitted before a crash destroyed the KV)."""
         request = sequence.request
+        append, rid = cache.append_token, request.rid
         for _ in range(sequence.context_len):
-            cache.append_token(request.rid)
+            append(rid)
         sequence.prefills += 1
         sequence.needs_prefill = False
         if sequence.prefills > 1:

@@ -182,6 +182,10 @@ class PagedKVCache:
         self._spm = spm
         self._partition = partition
         self.config = config
+        # The geometry ``append_token`` needs on every call, resolved once
+        # (``LLMConfig``'s derived sizes are properties).
+        self._block_tokens = config.block_tokens
+        self._token_bytes = config.kv_bytes_per_token
         self._blocks: Dict[str, List[Tuple[int, ...]]] = {}
         self._tokens: Dict[str, int] = {}
         self._generation = partition.restarts
@@ -257,14 +261,13 @@ class PagedKVCache:
             )
         index = self._tokens.get(rid, 0)
         blocks = self._blocks.setdefault(rid, [])
-        slot = index % self.config.block_tokens
-        if index // self.config.block_tokens >= len(blocks):
+        block, slot = divmod(index, self._block_tokens)
+        if block >= len(blocks):
             blocks.append(self._allocate_block(rid))
-        pages = blocks[index // self.config.block_tokens]
-        offset = slot * self.config.kv_bytes_per_token
-        page = pages[offset // PAGE_SIZE]
+        offset = slot * self._token_bytes
+        page, within = divmod(offset, PAGE_SIZE)
         self._partition.write(
-            page * PAGE_SIZE + offset % PAGE_SIZE, token_stamp(rid, index)
+            blocks[block][page] * PAGE_SIZE + within, token_stamp(rid, index)
         )
         self._tokens[rid] = index + 1
         self.tokens_written += 1
